@@ -36,6 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -79,19 +80,17 @@ struct MachineRate
 enum class Dispatch
 {
     Default,    ///< whatever Machine's config + environment picked
-    Interp,     ///< legacy switch interpreter (no uop tables)
-    Uop,        ///< micro-op dispatch tables, no superblocks
-    Superblock, ///< superblock tier above the uop tables
+    Uop,        ///< per-cycle micro-op dispatch, no superblocks
+    Superblock, ///< superblock tier above the per-cycle path
 };
 
-constexpr Dispatch kDispatchModes[] = {Dispatch::Interp, Dispatch::Uop,
-                                       Dispatch::Superblock};
+constexpr Dispatch kDispatchModes[] = {Dispatch::Uop, Dispatch::Superblock};
+constexpr unsigned kNumDispatchModes = std::size(kDispatchModes);
 
 const char *
 dispatchName(Dispatch d)
 {
     switch (d) {
-      case Dispatch::Interp: return "interp";
       case Dispatch::Uop: return "uop";
       case Dispatch::Superblock: return "superblock";
       default: return "default";
@@ -104,16 +103,10 @@ applyDispatch(Machine &m, Dispatch d)
     switch (d) {
       case Dispatch::Default:
         break;
-      case Dispatch::Interp:
-        m.setUopDispatch(false);
-        m.setSuperblockExec(false);
-        break;
       case Dispatch::Uop:
-        m.setUopDispatch(true);
         m.setSuperblockExec(false);
         break;
       case Dispatch::Superblock:
-        m.setUopDispatch(true);
         m.setSuperblockExec(true);
         break;
     }
@@ -436,20 +429,19 @@ main(int argc, char **argv)
     printRate("machine io-bound", io);
 
     // Per-tier sweep: the same compute/bus workloads with each
-    // execution tier forced, so the recorded interp/uop/superblock
-    // ratios are host-independent (all three points move together
-    // with host speed).
+    // execution tier forced, so the recorded uop/superblock ratio is
+    // host-independent (both points move together with host speed).
     struct DispatchRow
     {
         const char *scenario;
-        MachineRate rates[3];
+        MachineRate rates[kNumDispatchModes];
     };
     DispatchRow drows[] = {
         {"single_stream", {}},
         {"four_stream", {}},
         {"four_stream_bus", {}},
     };
-    for (unsigned mi = 0; mi < 3; ++mi) {
+    for (unsigned mi = 0; mi < kNumDispatchModes; ++mi) {
         Dispatch d = kDispatchModes[mi];
         drows[0].rates[mi] = measureComputeLoop(1, budget, d);
         drows[1].rates[mi] = measureComputeLoop(kNumStreams, budget, d);
@@ -457,7 +449,7 @@ main(int argc, char **argv)
         drows[2].rates[mi] = measureBusTraffic(budget, ddev, d);
     }
     for (const DispatchRow &row : drows) {
-        for (unsigned mi = 0; mi < 3; ++mi) {
+        for (unsigned mi = 0; mi < kNumDispatchModes; ++mi) {
             std::string label = std::string(row.scenario) + "/" +
                                 dispatchName(kDispatchModes[mi]);
             printRate(label.c_str(), row.rates[mi]);
@@ -514,12 +506,12 @@ main(int argc, char **argv)
     for (std::size_t ri = 0; ri < 3; ++ri) {
         const DispatchRow &row = drows[ri];
         out << "    \"" << row.scenario << "\": {";
-        for (unsigned mi = 0; mi < 3; ++mi) {
+        for (unsigned mi = 0; mi < kNumDispatchModes; ++mi) {
             const MachineRate &r = row.rates[mi];
             out << "\"" << dispatchName(kDispatchModes[mi])
                 << "\": {\"cycles_per_sec\": " << r.cyclesPerSec
                 << ", \"mips\": " << r.mips << "}"
-                << (mi + 1 < 3 ? ", " : "");
+                << (mi + 1 < kNumDispatchModes ? ", " : "");
         }
         out << "}" << (ri + 1 < 3 ? ",\n" : "\n");
     }

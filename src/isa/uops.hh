@@ -3,21 +3,21 @@
  * Micro-op dispatch layer: a pre-resolved handler index per program
  * word, computed once at predecode time.
  *
- * The execute stage and the golden-model interpreter used to walk a
- * ~50-way `switch` on Opcode for every retired instruction (plus a
- * second nested switch on Cond for branches). A Uop names the exact
+ * Instead of walking a ~50-way `switch` on Opcode for every retired
+ * instruction (plus a second nested switch on Cond for branches), the
+ * Machine's execute stage dispatches on a Uop. A Uop names the exact
  * semantic routine directly — BR is split into one micro-op per
  * condition — so the per-cycle dispatch is a single indexed load from
  * a function-pointer table instead of two unpredictable switches.
  *
  * The mapping Opcode (x Cond) -> Uop is a pure constexpr function and
  * its completeness is enforced at compile time: adding an Opcode
- * without extending uopFor() fails the build here, and each dispatch
- * table (sim/stage_execute.cc, sim/interp.cc) static_asserts that it
- * installs a handler for every Uop. The legacy switches remain as the
- * reference path, selected by MachineConfig/Interp toggles or the
- * DISC_NO_UOP=1 environment variable; equivalence between the two is
- * part of the tier-1 test suite.
+ * without extending uopFor() fails the build here, and the Machine's
+ * dispatch table (sim/stage_execute.cc) static_asserts that it
+ * installs a handler for every Uop. The golden-model interpreter
+ * (sim/interp.cc) deliberately does not use this mapping: it switches
+ * on the Opcode, so the differential tests check each handler and
+ * the uopFor() split against independently written semantics.
  */
 
 #ifndef DISC_ISA_UOPS_HH
@@ -169,7 +169,7 @@ static_assert(detail::uopMapComplete(),
               "every Opcode (and BR condition) needs a Uop mapping");
 
 /**
- * A Uop-indexed handler table. Built as a constexpr object so each
+ * A Uop-indexed handler table. Built as a constexpr object so the
  * dispatch site can `static_assert(table.complete())`: an Opcode added
  * without a handler breaks the build of that translation unit rather
  * than surfacing as a null call at fuzz time.
@@ -181,6 +181,7 @@ class UopTable
     constexpr void set(Uop u, Handler h)
     {
         fn_[static_cast<std::size_t>(u)] = h;
+        filled_[static_cast<std::size_t>(u)] = true;
     }
 
     constexpr Handler operator[](Uop u) const
@@ -188,11 +189,16 @@ class UopTable
         return fn_[static_cast<std::size_t>(u)];
     }
 
-    /** True when every micro-op has a non-null handler. */
+    /**
+     * True when every micro-op has been set(). Reads a separate
+     * bitmap rather than comparing handlers to null: UBSan's
+     * instrumentation makes a function-pointer comparison
+     * non-constant, which would break the static_assert.
+     */
     constexpr bool complete() const
     {
-        for (Handler h : fn_) {
-            if (h == nullptr)
+        for (bool f : filled_) {
+            if (!f)
                 return false;
         }
         return true;
@@ -200,6 +206,7 @@ class UopTable
 
   private:
     std::array<Handler, kNumUops> fn_{};
+    std::array<bool, kNumUops> filled_{};
 };
 
 } // namespace disc

@@ -148,6 +148,19 @@ EventLoop::post(std::function<void()> fn)
 }
 
 void
+EventLoop::drainPosted()
+{
+    // Only the swap happens under the lock: a task may post() again.
+    std::vector<std::function<void()>> tasks;
+    {
+        std::lock_guard<std::mutex> g(postMu_);
+        tasks.swap(posted_);
+    }
+    for (auto &t : tasks)
+        t();
+}
+
+void
 EventLoop::runSync(const std::function<void()> &fn)
 {
     if (std::this_thread::get_id() == thread_.get_id()) {
@@ -468,13 +481,7 @@ EventLoop::loopMain(std::string tag)
                 while (::read(wakeFd_, &junk, sizeof(junk)) > 0) {
                 }
                 wakePending_.store(false);
-                std::vector<std::function<void()>> tasks;
-                {
-                    std::lock_guard<std::mutex> g(postMu_);
-                    tasks.swap(posted_);
-                }
-                for (auto &t : tasks)
-                    t();
+                drainPosted();
                 continue;
             }
             if (fd == listenFd_) {
@@ -508,15 +515,7 @@ EventLoop::loopMain(std::string tag)
                 handleReadable(cs);
         }
         // Posted tasks may have arrived while dispatching.
-        if (!posted_.empty()) {
-            std::vector<std::function<void()>> tasks;
-            {
-                std::lock_guard<std::mutex> g(postMu_);
-                tasks.swap(posted_);
-            }
-            for (auto &t : tasks)
-                t();
-        }
+        drainPosted();
     }
     // Tear down every connection on the way out.
     std::vector<std::shared_ptr<EventConn>> all;

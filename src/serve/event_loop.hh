@@ -220,6 +220,8 @@ class EventLoop
 
     void loopMain(std::string tag);
     void wake();
+    /** Run every task post()ed so far (loop thread only). */
+    void drainPosted();
     void handleReadable(ConnState &cs);
     void flushConn(const std::shared_ptr<EventConn> &conn);
     void closeConn(const std::shared_ptr<EventConn> &conn);

@@ -489,7 +489,7 @@ MachineBatch::advanceLane(std::size_t i, Cycle slice, bool stop_when_idle,
         // in one span; transient ones retry the hot lane after a
         // bounded scalar stretch.
         BatchPeel blocked = BatchPeel::NumReasons;
-        if (!m.batchEnabled_ || !m.uopsEnabled_)
+        if (!m.batchEnabled_)
             blocked = BatchPeel::Disabled;
         else if (m.trace_ || m.observer_)
             blocked = BatchPeel::Observed;

@@ -81,7 +81,7 @@ enum class BatchPeel : std::uint8_t
     Done,     ///< lane went idle (stop-when-idle) or budget exhausted
     Baseline, ///< baseline halt-on-wait machine (never batched)
     Observed, ///< pipe trace/observer attached: every cycle must be seen
-    Disabled, ///< opted out (config, DISC_NO_BATCH, or uop dispatch off)
+    Disabled, ///< opted out (config or DISC_NO_BATCH)
     NumReasons,
 };
 

@@ -1,37 +1,17 @@
 #include "sim/interp.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/logging.hh"
 
 namespace disc
 {
 
-namespace
-{
-
-/** DISC_NO_UOP=1 selects the legacy switch (shared with Machine). */
-bool
-uopEnvDisabled()
-{
-    const char *env = std::getenv("DISC_NO_UOP");
-    return env && *env && std::strcmp(env, "0") != 0;
-}
-
-} // namespace
-
 Interp::Interp()
     : window_(imem_, kStackRegionBase, kStackRegionWords)
-{
-    useUops_ = !uopEnvDisabled();
-}
+{}
 
 Interp::Interp(Addr stack_base, Addr stack_words, StreamId self)
     : window_(imem_, stack_base, stack_words), self_(self)
-{
-    useUops_ = !uopEnvDisabled();
-}
+{}
 
 void
 Interp::load(const Program &prog)
@@ -144,399 +124,8 @@ Interp::applyWctl(WCtl w)
         noteWindow(win.dec());
 }
 
-/**
- * Micro-op handlers for the interpreter, dispatched through the same
- * predecoded handler index the machine uses. Semantics mirror
- * Interp::stepLegacy() line for line; the legacy switch remains the
- * reference path (DISC_NO_UOP=1 / setUopDispatch(false)).
- */
-struct InterpOps
-{
-    using Fn = void (*)(Interp &, const Instruction &, PAddr, PAddr &);
-
-    static Word ra(Interp &ip, const Instruction &inst)
-    {
-        return ip.readReg(inst.ra);
-    }
-    static Word rb(Interp &ip, const Instruction &inst)
-    {
-        return ip.readReg(inst.rb);
-    }
-    static Word imm(const Instruction &inst)
-    {
-        return static_cast<Word>(inst.imm);
-    }
-    static void wr(Interp &ip, const Instruction &inst, Word value)
-    {
-        ip.writeReg(inst.rd, value);
-    }
-
-    static Word addLike(Interp &ip, Word a, Word b, Word cin)
-    {
-        DWord full = static_cast<DWord>(a) + b + cin;
-        Word r = static_cast<Word>(full);
-        ip.setFlags(r, (full >> 16) != 0,
-                    (~(a ^ b) & (a ^ r) & 0x8000) != 0);
-        return r;
-    }
-    static Word subLike(Interp &ip, Word a, Word b, Word bin)
-    {
-        DWord full = static_cast<DWord>(a) - b - bin;
-        Word r = static_cast<Word>(full);
-        ip.setFlags(r, (full >> 16) != 0,
-                    ((a ^ b) & (a ^ r) & 0x8000) != 0);
-        return r;
-    }
-    static Word logical(Interp &ip, Word r)
-    {
-        ip.setFlags(r, false, false);
-        return r;
-    }
-
-    static void nop(Interp &, const Instruction &, PAddr, PAddr &) {}
-    static void add(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, addLike(ip, ra(ip, inst), rb(ip, inst), 0));
-    }
-    static void adc(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst,
-           addLike(ip, ra(ip, inst), rb(ip, inst), ip.c_ ? 1 : 0));
-    }
-    static void sub(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, subLike(ip, ra(ip, inst), rb(ip, inst), 0));
-    }
-    static void sbc(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst,
-           subLike(ip, ra(ip, inst), rb(ip, inst), ip.c_ ? 1 : 0));
-    }
-    static void and_(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, logical(ip, ra(ip, inst) & rb(ip, inst)));
-    }
-    static void or_(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, logical(ip, ra(ip, inst) | rb(ip, inst)));
-    }
-    static void xor_(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, logical(ip, ra(ip, inst) ^ rb(ip, inst)));
-    }
-    static void shl(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        unsigned sh = rb(ip, inst) & 15u;
-        Word a = ra(ip, inst);
-        Word r = static_cast<Word>(a << sh);
-        ip.setFlags(r, sh > 0 && ((a >> (16 - sh)) & 1), false);
-        wr(ip, inst, r);
-    }
-    static void shr(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        unsigned sh = rb(ip, inst) & 15u;
-        Word a = ra(ip, inst);
-        Word r = static_cast<Word>(a >> sh);
-        ip.setFlags(r, sh > 0 && ((a >> (sh - 1)) & 1), false);
-        wr(ip, inst, r);
-    }
-    static void asr(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        unsigned sh = rb(ip, inst) & 15u;
-        Word a = ra(ip, inst);
-        Word r = static_cast<Word>(static_cast<SWord>(a) >> sh);
-        ip.setFlags(r, sh > 0 && ((a >> (sh - 1)) & 1), false);
-        wr(ip, inst, r);
-    }
-    static void mul(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        DWord p = static_cast<DWord>(ra(ip, inst)) * rb(ip, inst);
-        ip.mulHigh_ = static_cast<Word>(p >> 16);
-        Word r = static_cast<Word>(p);
-        ip.setFlags(r, false, false);
-        wr(ip, inst, r);
-    }
-    static void mulh(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, ip.mulHigh_);
-    }
-    static void mov(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, logical(ip, ra(ip, inst)));
-    }
-    static void not_(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, logical(ip, static_cast<Word>(~ra(ip, inst))));
-    }
-    static void neg(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, subLike(ip, 0, ra(ip, inst), 0));
-    }
-    static void cmp(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        subLike(ip, ra(ip, inst), rb(ip, inst), 0);
-    }
-    static void tst(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        logical(ip, ra(ip, inst) & rb(ip, inst));
-    }
-    static void addi(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, addLike(ip, ra(ip, inst), imm(inst), 0));
-    }
-    static void subi(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, subLike(ip, ra(ip, inst), imm(inst), 0));
-    }
-    static void andi(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, logical(ip, ra(ip, inst) & imm(inst)));
-    }
-    static void ori(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, logical(ip, ra(ip, inst) | imm(inst)));
-    }
-    static void xori(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, logical(ip, ra(ip, inst) ^ imm(inst)));
-    }
-    static void cmpi(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        subLike(ip, ra(ip, inst), imm(inst), 0);
-    }
-    static void ldi(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, imm(inst));
-    }
-    static void ldih(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst,
-           static_cast<Word>((ip.readReg(inst.rd) & 0x00ff) |
-                             (imm(inst) << 8)));
-    }
-    static void ldst(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        Addr addr = static_cast<Addr>(ra(ip, inst) + inst.imm);
-        Addr offset = 0;
-        Device *dev = ip.bus_.decode(addr, offset);
-        if (!dev) {
-            ip.ir_ |= 1u << kBusFaultBit;
-        } else if (inst.op == Opcode::LD) {
-            wr(ip, inst, dev->read(offset));
-        } else {
-            dev->write(offset, ip.readReg(inst.rd));
-        }
-    }
-    static void ldm(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst,
-           ip.imem_.read(static_cast<Addr>(ra(ip, inst) + inst.imm)));
-    }
-    static void stm(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        ip.imem_.write(static_cast<Addr>(ra(ip, inst) + inst.imm),
-                       ip.readReg(inst.rd));
-    }
-    static void ldmd(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        wr(ip, inst, ip.imem_.read(static_cast<Addr>(inst.imm)));
-    }
-    static void stmd(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        ip.imem_.write(static_cast<Addr>(inst.imm), ip.readReg(inst.rd));
-    }
-    static void tas(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        Word old = ip.imem_.testAndSet(ra(ip, inst));
-        ip.setFlags(old, false, false);
-        wr(ip, inst, old);
-    }
-    static void jmp(Interp &, const Instruction &inst, PAddr, PAddr &next)
-    {
-        next = static_cast<PAddr>(inst.imm);
-    }
-    static void jr(Interp &ip, const Instruction &inst, PAddr, PAddr &next)
-    {
-        next = ra(ip, inst);
-    }
-    static void callCommon(Interp &ip, PAddr this_pc, PAddr &next,
-                           PAddr target)
-    {
-        ip.noteWindow(ip.window_.inc());
-        ip.window_.write(0, static_cast<Word>(this_pc + 1));
-        next = target;
-    }
-    static void call(Interp &ip, const Instruction &inst, PAddr this_pc,
-                     PAddr &next)
-    {
-        callCommon(ip, this_pc, next, static_cast<PAddr>(inst.imm));
-    }
-    static void callr(Interp &ip, const Instruction &inst, PAddr this_pc,
-                      PAddr &next)
-    {
-        callCommon(ip, this_pc, next, ra(ip, inst));
-    }
-    static void ret(Interp &ip, const Instruction &inst, PAddr, PAddr &next)
-    {
-        bool bad = ip.window_.move(-inst.imm);
-        next = ip.window_.read(0);
-        bad |= ip.window_.dec();
-        ip.noteWindow(bad);
-    }
-    static void reti(Interp &ip, const Instruction &, PAddr, PAddr &next)
-    {
-        // No interrupt machinery in the golden model: RETI == RET 0.
-        next = ip.window_.read(0);
-        ip.noteWindow(ip.window_.dec());
-    }
-    static void brTake(const Instruction &inst, PAddr this_pc, PAddr &next,
-                       bool take)
-    {
-        if (take)
-            next = static_cast<PAddr>(static_cast<int>(this_pc) +
-                                      inst.imm);
-    }
-    static void brEq(Interp &ip, const Instruction &inst, PAddr this_pc,
-                     PAddr &next)
-    {
-        brTake(inst, this_pc, next, ip.z_);
-    }
-    static void brNe(Interp &ip, const Instruction &inst, PAddr this_pc,
-                     PAddr &next)
-    {
-        brTake(inst, this_pc, next, !ip.z_);
-    }
-    static void brLt(Interp &ip, const Instruction &inst, PAddr this_pc,
-                     PAddr &next)
-    {
-        brTake(inst, this_pc, next, ip.n_ != ip.v_);
-    }
-    static void brGe(Interp &ip, const Instruction &inst, PAddr this_pc,
-                     PAddr &next)
-    {
-        brTake(inst, this_pc, next, ip.n_ == ip.v_);
-    }
-    static void brUlt(Interp &ip, const Instruction &inst, PAddr this_pc,
-                      PAddr &next)
-    {
-        brTake(inst, this_pc, next, ip.c_);
-    }
-    static void brUge(Interp &ip, const Instruction &inst, PAddr this_pc,
-                      PAddr &next)
-    {
-        brTake(inst, this_pc, next, !ip.c_);
-    }
-    static void brMi(Interp &ip, const Instruction &inst, PAddr this_pc,
-                     PAddr &next)
-    {
-        brTake(inst, this_pc, next, ip.n_);
-    }
-    static void brPl(Interp &ip, const Instruction &inst, PAddr this_pc,
-                     PAddr &next)
-    {
-        brTake(inst, this_pc, next, !ip.n_);
-    }
-    static void swi(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        if (inst.stream == ip.self_)
-            ip.ir_ |= static_cast<Word>(1u << inst.bit);
-    }
-    static void clri(Interp &ip, const Instruction &inst, PAddr, PAddr &)
-    {
-        ip.ir_ &= static_cast<Word>(~(1u << inst.bit));
-    }
-    static void halt(Interp &ip, const Instruction &, PAddr, PAddr &)
-    {
-        ip.halted_ = true;
-    }
-    static void streamNop(Interp &, const Instruction &, PAddr, PAddr &)
-    {
-        // FORK/FORKR/SCHED are no-ops in the one-stream model.
-    }
-    static void winc(Interp &ip, const Instruction &, PAddr, PAddr &)
-    {
-        ip.noteWindow(ip.window_.inc());
-    }
-    static void wdec(Interp &ip, const Instruction &, PAddr, PAddr &)
-    {
-        ip.noteWindow(ip.window_.dec());
-    }
-};
-
-namespace
-{
-
-constexpr UopTable<InterpOps::Fn>
-buildInterpTable()
-{
-    UopTable<InterpOps::Fn> t;
-    t.set(Uop::NOP, &InterpOps::nop);
-    t.set(Uop::ADD, &InterpOps::add);
-    t.set(Uop::ADC, &InterpOps::adc);
-    t.set(Uop::SUB, &InterpOps::sub);
-    t.set(Uop::SBC, &InterpOps::sbc);
-    t.set(Uop::AND, &InterpOps::and_);
-    t.set(Uop::OR, &InterpOps::or_);
-    t.set(Uop::XOR, &InterpOps::xor_);
-    t.set(Uop::SHL, &InterpOps::shl);
-    t.set(Uop::SHR, &InterpOps::shr);
-    t.set(Uop::ASR, &InterpOps::asr);
-    t.set(Uop::MUL, &InterpOps::mul);
-    t.set(Uop::MULH, &InterpOps::mulh);
-    t.set(Uop::MOV, &InterpOps::mov);
-    t.set(Uop::NOT, &InterpOps::not_);
-    t.set(Uop::NEG, &InterpOps::neg);
-    t.set(Uop::CMP, &InterpOps::cmp);
-    t.set(Uop::TST, &InterpOps::tst);
-    t.set(Uop::ADDI, &InterpOps::addi);
-    t.set(Uop::SUBI, &InterpOps::subi);
-    t.set(Uop::ANDI, &InterpOps::andi);
-    t.set(Uop::ORI, &InterpOps::ori);
-    t.set(Uop::XORI, &InterpOps::xori);
-    t.set(Uop::CMPI, &InterpOps::cmpi);
-    t.set(Uop::LDI, &InterpOps::ldi);
-    t.set(Uop::LDIH, &InterpOps::ldih);
-    t.set(Uop::LD, &InterpOps::ldst);
-    t.set(Uop::ST, &InterpOps::ldst);
-    t.set(Uop::LDM, &InterpOps::ldm);
-    t.set(Uop::STM, &InterpOps::stm);
-    t.set(Uop::LDMD, &InterpOps::ldmd);
-    t.set(Uop::STMD, &InterpOps::stmd);
-    t.set(Uop::TAS, &InterpOps::tas);
-    t.set(Uop::JMP, &InterpOps::jmp);
-    t.set(Uop::JR, &InterpOps::jr);
-    t.set(Uop::CALL, &InterpOps::call);
-    t.set(Uop::CALLR, &InterpOps::callr);
-    t.set(Uop::RET, &InterpOps::ret);
-    t.set(Uop::BR_EQ, &InterpOps::brEq);
-    t.set(Uop::BR_NE, &InterpOps::brNe);
-    t.set(Uop::BR_LT, &InterpOps::brLt);
-    t.set(Uop::BR_GE, &InterpOps::brGe);
-    t.set(Uop::BR_ULT, &InterpOps::brUlt);
-    t.set(Uop::BR_UGE, &InterpOps::brUge);
-    t.set(Uop::BR_MI, &InterpOps::brMi);
-    t.set(Uop::BR_PL, &InterpOps::brPl);
-    t.set(Uop::SWI, &InterpOps::swi);
-    t.set(Uop::CLRI, &InterpOps::clri);
-    t.set(Uop::RETI, &InterpOps::reti);
-    t.set(Uop::HALT, &InterpOps::halt);
-    t.set(Uop::FORK, &InterpOps::streamNop);
-    t.set(Uop::FORKR, &InterpOps::streamNop);
-    t.set(Uop::SCHED, &InterpOps::streamNop);
-    t.set(Uop::WINC, &InterpOps::winc);
-    t.set(Uop::WDEC, &InterpOps::wdec);
-    return t;
-}
-
-constexpr UopTable<InterpOps::Fn> kInterpTable = buildInterpTable();
-static_assert(kInterpTable.complete(),
-              "every micro-op needs an interpreter handler: extend "
-              "buildInterpTable() alongside isa/uops.hh");
-
-} // namespace
-
 void
-Interp::stepLegacy(const Instruction &inst, PAddr this_pc, PAddr &next)
+Interp::execute(const Instruction &inst, PAddr this_pc, PAddr &next)
 {
     StackWindow &win = window_;
 
@@ -741,10 +330,7 @@ Interp::step()
     PAddr this_pc = pc_;
     PAddr next = static_cast<PAddr>(pc_ + 1);
 
-    if (useUops_)
-        kInterpTable[pd.uop](*this, pd.inst, this_pc, next);
-    else
-        stepLegacy(pd.inst, this_pc, next);
+    execute(pd.inst, this_pc, next);
 
     applyWctl(pd.inst.wctl);
     pc_ = next;

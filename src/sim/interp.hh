@@ -13,7 +13,10 @@
  *
  * Implementation note: the semantics here are written independently
  * of sim/machine.cc (no shared execution code beyond the decoder), so
- * a bug must be made twice to go unnoticed.
+ * a bug must be made twice to go unnoticed. In particular step()
+ * switches on the decoded Opcode and never reads the predecoded
+ * micro-op index the Machine dispatches on, so a wrong Opcode -> Uop
+ * mapping (isa/uops.hh) shows up as a differential mismatch.
  */
 
 #ifndef DISC_SIM_INTERP_HH
@@ -33,8 +36,6 @@
 
 namespace disc
 {
-
-struct InterpOps;
 
 /** Single-stream golden-model interpreter. */
 class Interp
@@ -101,17 +102,10 @@ class Interp
     /** Count of illegal instructions seen (skipped as NOPs). */
     std::uint64_t illegalEvents() const { return illegal_; }
 
-    /** True when step() uses the micro-op table (config + env). */
-    bool uopDispatchEnabled() const { return useUops_; }
-
-    /** Override the micro-op dispatch setting (tests, tools). */
-    void setUopDispatch(bool on) { useUops_ = on; }
-
   private:
-    friend struct InterpOps; ///< micro-op handlers (interp.cc)
     InternalMemory imem_;
     ProgramMemory pmem_;
-    PredecodeTable pdec_; ///< shared predecode path with the Machine
+    PredecodeTable pdec_; ///< same decoder as the Machine (inst, legal)
     Bus bus_;
     StackWindow window_;
     std::array<Word, kNumGlobalRegs> globals_{};
@@ -122,15 +116,13 @@ class Interp
     Word mr_ = 0xff;
     StreamId self_ = 0;
     bool halted_ = false;
-    bool useUops_ = true;
     std::uint64_t overflows_ = 0;
     std::uint64_t illegal_ = 0;
 
     void setFlags(Word result, bool carry, bool overflow);
     void noteWindow(bool violated);
     void applyWctl(WCtl w);
-    void stepLegacy(const Instruction &inst, PAddr this_pc, PAddr &next);
-    Word aluResult(const Instruction &inst, bool &wrote, PAddr &next);
+    void execute(const Instruction &inst, PAddr this_pc, PAddr &next);
 };
 
 } // namespace disc

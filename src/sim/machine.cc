@@ -78,10 +78,6 @@ Machine::Machine(MachineConfig cfg)
     if (const char *env = std::getenv("DISC_NO_FASTFORWARD");
         env && *env && std::strcmp(env, "0") != 0)
         ffEnabled_ = false;
-    uopsEnabled_ = cfg_.uopDispatch;
-    if (const char *env = std::getenv("DISC_NO_UOP");
-        env && *env && std::strcmp(env, "0") != 0)
-        uopsEnabled_ = false;
     sbEnabled_ = cfg_.superblockExec;
     if (const char *env = std::getenv("DISC_NO_SUPERBLOCK");
         env && *env && std::strcmp(env, "0") != 0)

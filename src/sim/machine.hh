@@ -113,21 +113,11 @@ struct MachineConfig
     bool fastForward = true;
 
     /**
-     * Dispatch EX semantics through the predecoded micro-op handler
-     * table (isa/uops.hh) instead of the legacy opcode switch. Both
-     * paths are bit-identical; the switch is kept as the reference.
-     * The DISC_NO_UOP environment variable (set non-zero) overrides
-     * this to false.
-     */
-    bool uopDispatch = true;
-
-    /**
      * Execute straight-line code through the superblock translation
      * tier (sim/superblock.hh) when the machine is in the single-
      * active-stream regime. Bit-identical to per-cycle stepping; the
      * DISC_NO_SUPERBLOCK environment variable (set non-zero)
-     * overrides this to false. Requires uopDispatch (the tier runs
-     * the same micro-op handlers).
+     * overrides this to false.
      */
     bool superblockExec = true;
 
@@ -248,12 +238,6 @@ class Machine
 
     /** Override the fast-forward setting (tests, tools). */
     void setFastForward(bool on) { ffEnabled_ = on; }
-
-    /** True when EX uses the micro-op table (config + environment). */
-    bool uopDispatchEnabled() const { return uopsEnabled_; }
-
-    /** Override the micro-op dispatch setting (tests, tools). */
-    void setUopDispatch(bool on) { uopsEnabled_ = on; }
 
     /** True when run() may use superblocks (config + environment). */
     bool superblockExecEnabled() const { return sbEnabled_; }
@@ -398,7 +382,6 @@ class Machine
     char nextTag_ = 'a';
     Cycle haltedUntilBusDone_ = 0; ///< baseline mode flag (bool-ish)
     bool ffEnabled_ = true;
-    bool uopsEnabled_ = true;
     bool sbEnabled_ = true;
     bool batchEnabled_ = true;
 

@@ -198,8 +198,7 @@ Machine::run(Cycle max_cycles, bool stop_when_idle)
                 continue;
             }
         }
-        if (sbEnabled_ && uopsEnabled_ &&
-            stats_.cycles >= sblock_.retryAt()) {
+        if (sbEnabled_ && stats_.cycles >= sblock_.retryAt()) {
             Cycle left = max_cycles - (stats_.cycles - start);
             if (sblock_.execute(left))
                 continue;

@@ -5,7 +5,6 @@
  * raising. External accesses are handed to the ABI stage.
  */
 
-#include "common/logging.hh"
 #include "sim/machine.hh"
 
 namespace disc
@@ -64,307 +63,13 @@ ExecuteStage::redirect(StreamId s, PAddr target, unsigned ex_stage)
     }
 }
 
-Word
-ExecuteStage::aluOp(PipeSlot &slot, bool &is_redirect, PAddr &target)
-{
-    is_redirect = false;
-    target = 0;
-    StreamId s = slot.stream;
-    StreamCtx &c = m_.ctx(s);
-    const Instruction &inst = slot.inst;
-
-    auto ra_v = [&] { return m_.readReg(s, inst.ra); };
-    auto rb_v = [&] { return m_.readReg(s, inst.rb); };
-    auto imm_v = [&] { return static_cast<Word>(inst.imm); };
-
-    auto add_like = [&](Word a, Word b, Word carry_in) {
-        DWord full = static_cast<DWord>(a) + b + carry_in;
-        Word r = static_cast<Word>(full);
-        bool carry = (full >> 16) != 0;
-        bool ovf = (~(a ^ b) & (a ^ r) & 0x8000) != 0;
-        setAluFlags(s, r, carry, ovf);
-        return r;
-    };
-    auto sub_like = [&](Word a, Word b, Word borrow_in) {
-        DWord full = static_cast<DWord>(a) - b - borrow_in;
-        Word r = static_cast<Word>(full);
-        bool borrow = (full >> 16) != 0; // wrapped below zero
-        bool ovf = ((a ^ b) & (a ^ r) & 0x8000) != 0;
-        setAluFlags(s, r, borrow, ovf);
-        return r;
-    };
-    auto logic_flags = [&](Word r) {
-        setAluFlags(s, r, false, false);
-        return r;
-    };
-
-    switch (inst.op) {
-      case Opcode::ADD:
-        return add_like(ra_v(), rb_v(), 0);
-      case Opcode::ADC:
-        return add_like(ra_v(), rb_v(), c.c ? 1 : 0);
-      case Opcode::SUB:
-        return sub_like(ra_v(), rb_v(), 0);
-      case Opcode::SBC:
-        return sub_like(ra_v(), rb_v(), c.c ? 1 : 0);
-      case Opcode::AND:
-        return logic_flags(ra_v() & rb_v());
-      case Opcode::OR:
-        return logic_flags(ra_v() | rb_v());
-      case Opcode::XOR:
-        return logic_flags(ra_v() ^ rb_v());
-      case Opcode::SHL: {
-        unsigned sh = rb_v() & 15u;
-        Word a = ra_v();
-        Word r = static_cast<Word>(a << sh);
-        bool carry = sh > 0 && ((a >> (16 - sh)) & 1);
-        setAluFlags(s, r, carry, false);
-        return r;
-      }
-      case Opcode::SHR: {
-        unsigned sh = rb_v() & 15u;
-        Word a = ra_v();
-        Word r = static_cast<Word>(a >> sh);
-        bool carry = sh > 0 && ((a >> (sh - 1)) & 1);
-        setAluFlags(s, r, carry, false);
-        return r;
-      }
-      case Opcode::ASR: {
-        unsigned sh = rb_v() & 15u;
-        SWord a = static_cast<SWord>(ra_v());
-        Word r = static_cast<Word>(a >> sh);
-        bool carry = sh > 0 && ((static_cast<Word>(a) >> (sh - 1)) & 1);
-        setAluFlags(s, r, carry, false);
-        return r;
-      }
-      case Opcode::MUL: {
-        DWord p = static_cast<DWord>(ra_v()) * rb_v();
-        c.mulHigh = static_cast<Word>(p >> 16);
-        Word r = static_cast<Word>(p);
-        setAluFlags(s, r, false, false);
-        return r;
-      }
-      case Opcode::MULH:
-        return c.mulHigh;
-      case Opcode::MOV:
-        return logic_flags(ra_v());
-      case Opcode::NOT:
-        return logic_flags(static_cast<Word>(~ra_v()));
-      case Opcode::NEG:
-        return sub_like(0, ra_v(), 0);
-      case Opcode::CMP:
-        sub_like(ra_v(), rb_v(), 0);
-        return 0;
-      case Opcode::TST:
-        logic_flags(ra_v() & rb_v());
-        return 0;
-      case Opcode::ADDI:
-        return add_like(ra_v(), imm_v(), 0);
-      case Opcode::SUBI:
-        return sub_like(ra_v(), imm_v(), 0);
-      case Opcode::ANDI:
-        return logic_flags(ra_v() & imm_v());
-      case Opcode::ORI:
-        return logic_flags(ra_v() | imm_v());
-      case Opcode::XORI:
-        return logic_flags(ra_v() ^ imm_v());
-      case Opcode::CMPI:
-        sub_like(ra_v(), imm_v(), 0);
-        return 0;
-      case Opcode::LDI:
-        return static_cast<Word>(inst.imm);
-      case Opcode::LDIH: {
-        Word old = m_.readReg(s, inst.rd);
-        return static_cast<Word>((old & 0x00ff) |
-                                 (static_cast<Word>(inst.imm) << 8));
-      }
-      case Opcode::LDM: {
-        Addr a = static_cast<Addr>(ra_v() + inst.imm);
-        return m_.imem_.read(a);
-      }
-      case Opcode::LDMD:
-        return m_.imem_.read(static_cast<Addr>(inst.imm));
-      case Opcode::TAS: {
-        Word old = m_.imem_.testAndSet(ra_v());
-        logic_flags(old);
-        return old;
-      }
-      case Opcode::JMP:
-        is_redirect = true;
-        target = static_cast<PAddr>(inst.imm);
-        return 0;
-      case Opcode::JR:
-        is_redirect = true;
-        target = ra_v();
-        return 0;
-      case Opcode::BR: {
-        bool take = false;
-        switch (inst.cond) {
-          case Cond::EQ: take = c.z; break;
-          case Cond::NE: take = !c.z; break;
-          case Cond::LT: take = c.n != c.v; break;
-          case Cond::GE: take = c.n == c.v; break;
-          case Cond::ULT: take = c.c; break;
-          case Cond::UGE: take = !c.c; break;
-          case Cond::MI: take = c.n; break;
-          case Cond::PL: take = !c.n; break;
-        }
-        if (take) {
-            is_redirect = true;
-            target = static_cast<PAddr>(
-                static_cast<int>(slot.pc) + inst.imm);
-        }
-        return 0;
-      }
-      default:
-        panic("aluOp called for %s",
-              std::string(opMnemonic(inst.op)).c_str());
-    }
-}
-
-void
-ExecuteStage::execute(PipeSlot &slot)
-{
-    StreamId s = slot.stream;
-    StreamCtx &c = m_.ctx(s);
-    const Instruction &inst = slot.inst;
-    const OpInfo &oi = inst.info();
-    unsigned ex_stage = m_.cfg_.pipeDepth - 2;
-
-    switch (inst.op) {
-      case Opcode::NOP:
-        break;
-      case Opcode::LD:
-      case Opcode::ST:
-        // External accesses handle their own retirement/wctl.
-        m_.abiStage_.externalAccess(slot, ex_stage);
-        return;
-      case Opcode::STM: {
-        Addr a = static_cast<Addr>(m_.readReg(s, inst.ra) + inst.imm);
-        m_.imem_.write(a, m_.readReg(s, inst.rd));
-        break;
-      }
-      case Opcode::STMD:
-        m_.imem_.write(static_cast<Addr>(inst.imm),
-                       m_.readReg(s, inst.rd));
-        break;
-      case Opcode::CALL:
-      case Opcode::CALLR: {
-        PAddr target = inst.op == Opcode::CALL
-                           ? static_cast<PAddr>(inst.imm)
-                           : m_.readReg(s, inst.ra);
-        if (m_.win(s).inc()) {
-            ++m_.stats_.stackOverflows;
-            m_.raiseInternal(s, kStackOverflowBit);
-        }
-        m_.win(s).write(0, static_cast<Word>(slot.pc + 1));
-        redirect(s, target, ex_stage);
-        break;
-      }
-      case Opcode::RET: {
-        bool bad = m_.win(s).move(-inst.imm);
-        PAddr ra_val = m_.win(s).read(0);
-        bad |= m_.win(s).dec();
-        if (bad) {
-            ++m_.stats_.stackOverflows;
-            m_.raiseInternal(s, kStackOverflowBit);
-        }
-        redirect(s, ra_val, ex_stage);
-        break;
-      }
-      case Opcode::RETI: {
-        if (!m_.intUnit_.exitService(s)) {
-            // RETI outside a handler is an illegal use.
-            ++m_.stats_.illegalInstructions;
-            m_.raiseInternal(s, kIllegalInstBit);
-            break;
-        }
-        PAddr ra_val = m_.win(s).read(0);
-        if (m_.win(s).dec()) {
-            ++m_.stats_.stackOverflows;
-            m_.raiseInternal(s, kStackOverflowBit);
-        }
-        redirect(s, ra_val, ex_stage);
-        break;
-      }
-      case Opcode::SWI:
-        m_.raiseInternal(inst.stream, inst.bit);
-        break;
-      case Opcode::CLRI:
-        m_.intUnit_.clear(s, inst.bit);
-        if (!m_.intUnit_.isActive(s)) {
-            // Deactivation: drop the younger fetches and park the PC
-            // right after this instruction so a later activation
-            // resumes exactly where the stream stopped.
-            m_.squashYounger(s, ex_stage, &m_.stats_.squashedDeact,
-                             PipeEvent::SquashDeact);
-            c.pc = static_cast<PAddr>(slot.pc + 1);
-        }
-        break;
-      case Opcode::HALT:
-        m_.intUnit_.clear(s, 0);
-        if (!m_.intUnit_.isActive(s)) {
-            m_.squashYounger(s, ex_stage, &m_.stats_.squashedDeact,
-                             PipeEvent::SquashDeact);
-            c.pc = static_cast<PAddr>(slot.pc + 1);
-        }
-        break;
-      case Opcode::FORK:
-      case Opcode::FORKR: {
-        StreamId t = inst.stream;
-        PAddr entry = inst.op == Opcode::FORK
-                          ? static_cast<PAddr>(inst.imm)
-                          : m_.readReg(s, inst.ra);
-        // Restart semantics: discard whatever the target had in
-        // flight and point it at the new entry.
-        m_.squashYounger(t, m_.cfg_.pipeDepth, &m_.stats_.squashedDeact,
-                         PipeEvent::SquashDeact);
-        m_.ctx(t).pc = entry;
-        m_.intUnit_.raise(t, 0);
-        break;
-      }
-      case Opcode::SCHED:
-        m_.sched_.setSlot(inst.slot, inst.stream);
-        break;
-      case Opcode::WINC:
-      case Opcode::WDEC: {
-        bool bad =
-            inst.op == Opcode::WINC ? m_.win(s).inc() : m_.win(s).dec();
-        if (bad) {
-            ++m_.stats_.stackOverflows;
-            m_.raiseInternal(s, kStackOverflowBit);
-        }
-        break;
-      }
-      default: {
-        // ALU / load-immediate / internal-memory read path.
-        bool is_redirect = false;
-        PAddr target = 0;
-        Word result = aluOp(slot, is_redirect, target);
-        if (oi.writesRd)
-            m_.writeReg(s, inst.rd, result);
-        if (is_redirect)
-            redirect(s, target, ex_stage);
-        break;
-      }
-    }
-
-    applyWctl(slot);
-    ++m_.stats_.retired[s];
-    ++m_.stats_.totalRetired;
-    if (oi.isJumpType)
-        ++m_.stats_.jumpTypeRetired;
-    if (m_.observer_)
-        m_.observer_->onEvent(s, inst.op, PipeEvent::Retire);
-}
-
 /**
  * Micro-op handlers: one static function per Uop, dispatched through
  * a constexpr function-pointer table indexed by the handler id that
- * predecode resolved (isa/uops.hh). Semantics are a line-for-line
- * mirror of ExecuteStage::execute()/aluOp() above — the legacy switch
- * stays as the reference path (DISC_NO_UOP=1) and the equivalence
- * suite holds the two bit-identical.
+ * predecode resolved (isa/uops.hh). These are the machine's only
+ * instruction semantics; the differential tests check them against
+ * the golden-model interpreter's independently written opcode switch
+ * (sim/interp.cc).
  */
 struct ExecOps
 {
@@ -418,7 +123,7 @@ struct ExecOps
         return r;
     }
 
-    /** Common retire tail (the legacy post-switch epilogue). */
+    /** Common retire tail: window move, retire counts, observer. */
     static void retire(ExecuteStage &ex, PipeSlot &slot, bool jump_type)
     {
         ex.applyWctl(slot);
@@ -899,10 +604,7 @@ ExecuteStage::tick()
     if (!slot.valid || slot.squashed || slot.executed)
         return;
     slot.executed = true;
-    if (m_.uopsEnabled_)
-        kExecTable[slot.uop](*this, slot);
-    else
-        execute(slot);
+    kExecTable[slot.uop](*this, slot);
     if (m_.execTrace_ && !slot.squashed) {
         m_.execTrace_->record(m_.stats_.cycles, slot.stream, slot.pc,
                               slot.inst);

@@ -85,14 +85,11 @@ class ExecuteStage
     void applyWctl(PipeSlot &slot);
 
   private:
-    void execute(PipeSlot &slot);
-    Word aluOp(PipeSlot &slot, bool &is_redirect, PAddr &target);
     void redirect(StreamId s, PAddr target, unsigned ex_stage);
     void setAluFlags(StreamId s, Word result, bool carry, bool overflow);
 
     Machine &m_;
 
-    friend class AbiStage;  // external accesses start from execute()
     friend struct ExecOps;  // micro-op handlers (stage_execute.cc)
 };
 

@@ -35,10 +35,9 @@
  * program image, so the cache is dropped on program load, reset and
  * checkpoint restore.
  *
- * The interpreter/uop path remains the oracle: MachineConfig::
- * superblockExec=false or DISC_NO_SUPERBLOCK=1 disables the tier
- * (same discipline as DISC_NO_UOP), and the equivalence suite holds
- * the two bit-identical.
+ * The per-cycle stage walk remains the oracle: MachineConfig::
+ * superblockExec=false or DISC_NO_SUPERBLOCK=1 disables the tier,
+ * and the equivalence suite holds the two bit-identical.
  */
 
 #ifndef DISC_SIM_SUPERBLOCK_HH

@@ -12,11 +12,10 @@ namespace
 {
 constexpr std::size_t kActiveBuckets = kNumStreams + 1;
 constexpr std::size_t kSkipBuckets = 2;
-constexpr std::size_t kUopBuckets = 2;
 constexpr std::size_t kDenseSize =
     static_cast<std::size_t>(kNumOpcodes) * kNumPipeEvents *
-    kActiveBuckets * kSkipBuckets * kUopBuckets;
-// Dense (op x event x active x skip x uop) block, then one slot per
+    kActiveBuckets * kSkipBuckets;
+// Dense (op x event x active x skip) block, then one slot per
 // superblock bail reason, one per batch peel reason, and one per
 // board device type.
 constexpr std::size_t kMapSize =
@@ -27,7 +26,7 @@ CoverageMap::CoverageMap() : hits_(kMapSize, 0) {}
 
 std::size_t
 CoverageMap::index(Opcode op, PipeEvent ev, unsigned active,
-                   bool skip_taken, bool uop_dispatch)
+                   bool skip_taken)
 {
     auto o = static_cast<std::size_t>(op);
     auto e = static_cast<std::size_t>(ev);
@@ -35,19 +34,16 @@ CoverageMap::index(Opcode op, PipeEvent ev, unsigned active,
         active >= kActiveBuckets)
         panic("coverage point (%zu, %zu, %u) out of range", o, e,
               active);
-    return (((o * kNumPipeEvents + e) * kActiveBuckets + active) *
-                kSkipBuckets +
-            (skip_taken ? 1 : 0)) *
-               kUopBuckets +
-           (uop_dispatch ? 1 : 0);
+    return ((o * kNumPipeEvents + e) * kActiveBuckets + active) *
+               kSkipBuckets +
+           (skip_taken ? 1 : 0);
 }
 
 void
 CoverageMap::record(Opcode op, PipeEvent ev, unsigned active,
-                    bool skip_taken, bool uop_dispatch)
+                    bool skip_taken)
 {
-    std::uint32_t &h =
-        hits_[index(op, ev, active, skip_taken, uop_dispatch)];
+    std::uint32_t &h = hits_[index(op, ev, active, skip_taken)];
     if (h != std::numeric_limits<std::uint32_t>::max())
         ++h;
 }

@@ -3,12 +3,11 @@
  * Behavioural coverage map for the coverage-guided fuzzer.
  *
  * A coverage point is the tuple (opcode, pipeline event, number of
- * active streams at the time, event-skip taken, dispatch path): "an
- * ST was squashed by a bus wait while three streams were live" is a
- * different point from the same squash with one stream live, and both
- * differ again depending on whether the run has exercised the timing
- * kernel's fast-forward path and whether execute dispatched through
- * the micro-op table or the legacy opcode switch. The fuzzer keeps a
+ * active streams at the time, event-skip taken): "an ST was squashed
+ * by a bus wait while three streams were live" is a different point
+ * from the same squash with one stream live, and both differ again
+ * depending on whether the run has exercised the timing kernel's
+ * fast-forward path. The fuzzer keeps a
  * generated program in its corpus exactly when running it lights up
  * at least one point no earlier input has reached, which steers the
  * random search toward the interleaving-dependent corners the DISC
@@ -46,7 +45,7 @@ namespace disc
 
 /**
  * Dense hit-count map over (opcode × pipe event × active streams ×
- * event-skip taken × dispatch path).
+ * event-skip taken).
  */
 class CoverageMap
 {
@@ -58,12 +57,9 @@ class CoverageMap
      * @p skip_taken says whether the run has fast-forwarded at least
      * once by event time — the same behaviour reached with and
      * without the event-skip path engaged counts as two points.
-     * @p uop_dispatch says whether execute runs through the micro-op
-     * handler table; the legacy-switch replay of a behaviour is its
-     * own point for the same reason.
      */
     void record(Opcode op, PipeEvent ev, unsigned active,
-                bool skip_taken = false, bool uop_dispatch = true);
+                bool skip_taken = false);
 
     /** Record that the superblock tier bailed for reason @p b. */
     void recordBail(SbBail b);
@@ -93,7 +89,7 @@ class CoverageMap
     void clear();
 
   private:
-    // Indexed [op][event][active][skip][uop]; one 32-bit saturating
+    // Indexed [op][event][active][skip]; one 32-bit saturating
     // counter each. The superblock bail-reason points live in a
     // kNumSbBails-long tail after the dense block, followed by a
     // kNumBatchPeels-long tail for the batch peel reasons and a
@@ -101,7 +97,7 @@ class CoverageMap
     std::vector<std::uint32_t> hits_;
 
     static std::size_t index(Opcode op, PipeEvent ev, unsigned active,
-                             bool skip_taken, bool uop_dispatch);
+                             bool skip_taken);
 };
 
 } // namespace disc

@@ -116,8 +116,7 @@ InvariantChecker::onEvent(StreamId s, Opcode op, PipeEvent ev)
 {
     if (cov_)
         cov_->record(op, ev, activeStreams(),
-                     m_.stats().fastForwardedCycles > 0,
-                     m_.uopDispatchEnabled());
+                     m_.stats().fastForwardedCycles > 0);
     if (s >= kNumStreams)
         return;
     switch (ev) {

@@ -109,12 +109,11 @@ TEST(BatchClass, EveryPeelReasonHasAName)
 /**
  * The equivalence tests exist to exercise the batched hot lane, so
  * the fixture neutralises every process-wide opt-out it depends on:
- * the lane needs the uop tables, attempts superblocks inside chunks,
- * and reads DISC_NO_BATCH at machine construction.
+ * the lane attempts superblocks inside chunks and reads DISC_NO_BATCH
+ * at machine construction.
  */
 class BatchEquivalence : public ::testing::Test
 {
-    ScopedEnv uops_{"DISC_NO_UOP", "0"};
     ScopedEnv sblocks_{"DISC_NO_SUPERBLOCK", "0"};
     ScopedEnv batch_{"DISC_NO_BATCH", "0"};
 };
@@ -570,7 +569,6 @@ TEST_F(BatchEquivalence, ObservedLanesPeelButStayCorrect)
 /** Same discipline as BatchEquivalence (see above). */
 class BatchCheckpoint : public ::testing::Test
 {
-    ScopedEnv uops_{"DISC_NO_UOP", "0"};
     ScopedEnv sblocks_{"DISC_NO_SUPERBLOCK", "0"};
     ScopedEnv batch_{"DISC_NO_BATCH", "0"};
 };
@@ -744,33 +742,6 @@ TEST(BatchExec, DisabledBatchRunsSequentiallyAndIdentically)
         return m.saveState();
     };
     EXPECT_EQ(run(true), run(false));
-}
-
-TEST(BatchExec, UopDispatchOffImpliesScalarLanes)
-{
-    // The hot lane issues through the uop tables; without them the
-    // lane must fall back to scalar stepping, still bit-identical.
-    ScopedEnv uops("DISC_NO_UOP", "0");
-    ScopedEnv batch("DISC_NO_BATCH", "0");
-    Program p = hotLoop(4);
-    auto run = [&](bool uop_dispatch) {
-        Machine m;
-        m.setUopDispatch(uop_dispatch);
-        m.load(p);
-        m.startStream(0, p.symbol("main"));
-        MachineBatch mb(1);
-        mb.add(&m);
-        mb.run(10000, false);
-        if (!uop_dispatch) {
-            EXPECT_EQ(mb.stats().hotCycles, 0u);
-            EXPECT_GT(mb.stats().peels[unsigned(BatchPeel::Disabled)],
-                      0u);
-        } else {
-            EXPECT_GT(mb.stats().hotCycles, 0u);
-        }
-        return m.saveState();
-    };
-    EXPECT_EQ(run(false), run(true));
 }
 
 } // namespace

@@ -525,6 +525,15 @@ struct ZooBoard
     Cycle horizon;
 };
 
+// Without a printer gtest names each case by the raw bytes of its
+// parameter, which hold the address of `name` and so change with every
+// run of the binary; printing the scenario keeps the case names stable.
+void
+PrintTo(const ZooBoard &zb, std::ostream *os)
+{
+    *os << zb.name;
+}
+
 class ZooCrossTier : public ::testing::TestWithParam<ZooBoard>
 {
 };
@@ -554,16 +563,15 @@ TEST_P(ZooCrossTier, AllFourTiersBitIdentical)
         return m.saveState();
     };
 
-    MachineConfig full;  // fast-forward + uops + superblock
+    MachineConfig full;  // fast-forward + superblock
     MachineConfig nosb;
     nosb.superblockExec = false;
-    MachineConfig legacy; // per-cycle legacy-switch reference
-    legacy.fastForward = false;
-    legacy.uopDispatch = false;
-    legacy.superblockExec = false;
+    MachineConfig percycle; // per-cycle stage-walk reference
+    percycle.fastForward = false;
+    percycle.superblockExec = false;
 
-    std::vector<std::uint8_t> ref = runTier(legacy, false);
-    EXPECT_EQ(runTier(nosb, false), ref) << "uop tier diverged";
+    std::vector<std::uint8_t> ref = runTier(percycle, false);
+    EXPECT_EQ(runTier(nosb, false), ref) << "fast-forward tier diverged";
     EXPECT_EQ(runTier(full, false), ref) << "superblock tier diverged";
     EXPECT_EQ(runTier(full, true), ref) << "batch tier diverged";
 }

@@ -18,11 +18,13 @@
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 #include "isa/assembler.hh"
+#include "serve/event_loop.hh"
 #include "serve/proto.hh"
 #include "serve/server.hh"
 #include "sim/digest.hh"
@@ -518,6 +520,39 @@ TEST(ServeEpoll, AnyConnectionReachesAnyShard)
     ASSERT_EQ(q.type, MsgType::QueryResp);
     EXPECT_EQ(q.digest, offlineDigest(0, 500));
     ::close(fd);
+}
+
+// --- cross-thread task posting ----------------------------------------
+
+TEST(ServeEpoll, ConcurrentPostsEachRunExactlyOnce)
+{
+    // Four threads post() into a running loop while it drains its
+    // queue; every task must run exactly once, on the loop thread.
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kPerThread = 1000;
+    EventLoop loop;
+    loop.start("post-test");
+    std::vector<unsigned> runs(kThreads * kPerThread, 0); // loop thread
+    std::atomic<unsigned> ran{0};
+    std::vector<std::thread> posters;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        posters.emplace_back([&, t] {
+            for (unsigned i = 0; i < kPerThread; ++i) {
+                loop.post([&, id = t * kPerThread + i] {
+                    ++runs[id];
+                    ran.fetch_add(1);
+                });
+            }
+        });
+    }
+    for (std::thread &p : posters)
+        p.join();
+    // Tasks run in post order, so this returns after all of the above.
+    loop.runSync([] {});
+    loop.stop();
+    EXPECT_EQ(ran.load(), kThreads * kPerThread);
+    for (unsigned id = 0; id < runs.size(); ++id)
+        ASSERT_EQ(runs[id], 1u) << "task " << id;
 }
 
 } // namespace

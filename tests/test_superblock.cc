@@ -107,14 +107,12 @@ TEST(SuperblockClass, EveryBailReasonHasAName)
 
 /**
  * The equivalence and cache tests exist to exercise the tier, so the
- * fixtures neutralise both process-wide opt-outs: the machines here
+ * fixtures neutralise its process-wide opt-out: the machines here
  * (including the ones disc-serve sessions construct internally) read
- * DISC_NO_SUPERBLOCK and DISC_NO_UOP at construction, and the tier
- * cannot engage without the uop tables.
+ * DISC_NO_SUPERBLOCK at construction.
  */
 class SuperblockEquivalence : public ::testing::Test
 {
-    ScopedEnv uops_{"DISC_NO_UOP", "0"};
     ScopedEnv sblocks_{"DISC_NO_SUPERBLOCK", "0"};
 };
 
@@ -359,7 +357,6 @@ TEST_F(SuperblockEquivalence, DifferentialAndInvariantsBothModes)
 /** Same discipline as SuperblockEquivalence (see above). */
 class SuperblockCache : public ::testing::Test
 {
-    ScopedEnv uops_{"DISC_NO_UOP", "0"};
     ScopedEnv sblocks_{"DISC_NO_SUPERBLOCK", "0"};
 };
 
@@ -567,15 +564,6 @@ TEST(SuperblockExec, EnvironmentOverrideDisables)
     cfg.superblockExec = false;
     Machine cfg_off(cfg);
     EXPECT_FALSE(cfg_off.superblockExecEnabled());
-
-    // The tier also needs the uop tables: disabling them disables it.
-    Program p = engagingLoop(1);
-    Machine no_uops;
-    no_uops.setUopDispatch(false);
-    no_uops.load(p);
-    no_uops.startStream(0, p.symbol("main"));
-    no_uops.run(5000, false);
-    EXPECT_EQ(no_uops.stats().superblockCycles, 0u);
 }
 
 } // namespace

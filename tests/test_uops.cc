@@ -1,48 +1,21 @@
 /**
  * @file
- * Micro-op dispatch equivalence: executing through the pre-resolved
- * handler tables (the default) and through the legacy opcode switches
- * (DISC_NO_UOP) must be bit-identical — same retired-instruction
- * trace, same statistics, same checkpoint bytes, same architectural
- * end state in both the pipelined machine and the sequential
- * interpreter. Also covers the uop map itself: every (opcode, cond)
- * pair must resolve to a handler that round-trips to its opcode.
+ * The micro-op map: every (opcode, cond) pair must resolve to a
+ * handler index that round-trips to its opcode, BR must fan out to
+ * one distinct micro-op per condition, and every micro-op must have a
+ * unique printable name. Whether each handler's semantics match the
+ * opcode they are mapped from is checked by the differential tests
+ * against the interpreter's opcode switch (test_differential.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#include "arch/devices.hh"
-#include "isa/assembler.hh"
 #include "isa/uops.hh"
-#include "sim/interp.hh"
-#include "sim/machine.hh"
-#include "sim/trace.hh"
-#include "verify/differential.hh"
-#include "verify/generator.hh"
-#include "verify/invariants.hh"
-
-#ifndef DISC_SOURCE_DIR
-#define DISC_SOURCE_DIR "."
-#endif
 
 namespace disc
 {
 namespace
 {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "missing sample " << path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 // ---- The uop map ----
 
@@ -88,281 +61,6 @@ TEST(UopMap, NamesAreUnique)
                 << "uops " << a << " and " << b;
         }
     }
-}
-
-// ---- Machine equivalence ----
-
-/** Everything one run produces that the other must reproduce. */
-struct RunRecord
-{
-    std::string trace;
-    std::vector<std::uint8_t> checkpoint;
-    MachineStats stats;
-};
-
-/** Stats fields that must match between dispatch paths, as text. */
-std::string
-statsFingerprint(const MachineStats &st)
-{
-    std::string fp = strprintf(
-        "c=%llu b=%llu r=%llu j=%llu q=%llu w=%llu d=%llu bub=%llu "
-        "rd=%llu wr=%llu rej=%llu vec=%llu",
-        (unsigned long long)st.cycles, (unsigned long long)st.busyCycles,
-        (unsigned long long)st.totalRetired,
-        (unsigned long long)st.redirects,
-        (unsigned long long)st.squashedJump,
-        (unsigned long long)st.squashedWait,
-        (unsigned long long)st.squashedDeact,
-        (unsigned long long)st.bubbles,
-        (unsigned long long)st.externalReads,
-        (unsigned long long)st.externalWrites,
-        (unsigned long long)st.busBusyRejections,
-        (unsigned long long)st.vectorsTaken);
-    for (StreamId s = 0; s < kNumStreams; ++s) {
-        fp += strprintf(" s%u=%llu/%llu/%llu/%llu", unsigned(s),
-                        (unsigned long long)st.retired[s],
-                        (unsigned long long)st.readyCycles[s],
-                        (unsigned long long)st.waitAbiCycles[s],
-                        (unsigned long long)st.inactiveCycles[s]);
-    }
-    return fp;
-}
-
-void
-expectEquivalent(const RunRecord &uops, const RunRecord &legacy)
-{
-    EXPECT_EQ(uops.trace, legacy.trace);
-    EXPECT_EQ(uops.checkpoint, legacy.checkpoint);
-    EXPECT_EQ(statsFingerprint(uops.stats),
-              statsFingerprint(legacy.stats));
-}
-
-/** Run a program through both dispatch paths and demand identity. */
-template <typename Setup>
-void
-checkSample(const Program &p, Cycle budget, Setup setup)
-{
-    auto record = [&](bool use_uops) {
-        Machine m;
-        m.setUopDispatch(use_uops);
-        m.load(p);
-        setup(m);
-        ExecTrace trace(1u << 20);
-        m.setExecTrace(&trace);
-        m.run(budget);
-        EXPECT_TRUE(m.idle());
-        return RunRecord{trace.render(), m.saveState(), m.stats()};
-    };
-    RunRecord uops = record(true);
-    RunRecord legacy = record(false);
-    expectEquivalent(uops, legacy);
-}
-
-TEST(UopEquivalence, GcdSample)
-{
-    Program p = assemble(
-        readFile(std::string(DISC_SOURCE_DIR) + "/examples/asm/gcd.s"));
-    checkSample(p, 10000,
-                [&](Machine &m) { m.startStream(0, p.symbol("main")); });
-}
-
-TEST(UopEquivalence, ParallelSumSample)
-{
-    Program p = assemble(readFile(std::string(DISC_SOURCE_DIR) +
-                                  "/examples/asm/parallel_sum.s"));
-    checkSample(p, 50000, [&](Machine &m) {
-        m.startStream(0, p.symbol("combine"));
-        m.startStream(1, p.symbol("worker_a"));
-        m.startStream(2, p.symbol("worker_b"));
-        m.startStream(3, p.symbol("worker_c"));
-    });
-}
-
-/** External accesses and wait states cross the LD/ST handler. */
-TEST(UopEquivalence, SlowDeviceLoadLoop)
-{
-    Program p = assemble(R"(
-        .org 0x20
-        main:
-            ldi  g0, 0x00
-            ldih g0, 0x10     ; device at 0x1000
-            ldi  r1, 20       ; iterations
-            ldi  r2, 0        ; accumulator
-        loop:
-            ld   r3, [g0]
-            add  r2, r2, r3
-            st   r2, [g0]
-            subi r1, r1, 1
-            cmpi r1, 0
-            bne  loop
-            stmd r2, [0x40]
-            halt
-    )");
-    auto record = [&](bool use_uops) {
-        Machine m;
-        m.setUopDispatch(use_uops);
-        m.load(p);
-        ExternalMemoryDevice dev(64, 60);
-        dev.poke(0, 5);
-        m.attachDevice(0x1000, 64, &dev);
-        m.startStream(0, p.symbol("main"));
-        ExecTrace trace(1u << 20);
-        m.setExecTrace(&trace);
-        m.run(200000);
-        EXPECT_TRUE(m.idle());
-        return RunRecord{trace.render(), m.saveState(), m.stats()};
-    };
-    expectEquivalent(record(true), record(false));
-}
-
-/** Vectored interrupts exercise CALL/RETI and the vector stage. */
-TEST(UopEquivalence, TimerDrivenInterrupts)
-{
-    Program p = assemble(R"(
-        .org 3              ; stream 0, level 3: timer tick
-            jmp tick
-        .org 0x20
-        main:
-            ldi  r1, 0
-            stmd r1, [0x40]
-            ldi  r2, 6       ; ticks to count
-            ldi  r3, 0x09
-            mov  imr, r3     ; unmask levels 0 and 3
-        wait_loop:
-            ldmd r1, [0x40]
-            cmp  r1, r2
-            bne  wait_loop
-            halt
-        tick:
-            ldmd r1, [0x40]
-            addi r1, r1, 1
-            stmd r1, [0x40]
-            clri 3
-            reti
-    )");
-    auto record = [&](bool use_uops) {
-        Machine m;
-        m.setUopDispatch(use_uops);
-        m.load(p);
-        TimerDevice timer(700, 0, 3);
-        m.attachDevice(0x2000, 4, &timer);
-        m.startStream(0, p.symbol("main"));
-        ExecTrace trace(1u << 20);
-        m.setExecTrace(&trace);
-        m.run(100000, /*stop_when_idle=*/true);
-        EXPECT_TRUE(m.idle());
-        EXPECT_EQ(m.internalMemory().read(0x40), 6);
-        return RunRecord{trace.render(), m.saveState(), m.stats()};
-    };
-    expectEquivalent(record(true), record(false));
-}
-
-/** Generated multi-stream workloads: both paths, several seeds. */
-TEST(UopEquivalence, GeneratedWorkloads)
-{
-    for (std::uint64_t seed : {13u, 29u, 53u}) {
-        GenOptions opts;
-        MultiStreamProgram msp = generateMultiStream(seed, opts);
-        auto record = [&](bool use_uops) {
-            MachineRig rig(msp);
-            rig.machine().setUopDispatch(use_uops);
-            ExecTrace trace(1u << 20);
-            rig.machine().setExecTrace(&trace);
-            rig.start();
-            rig.machine().run(rig.cycleBudget());
-            EXPECT_TRUE(rig.machine().idle()) << "seed " << seed;
-            return RunRecord{trace.render(), rig.machine().saveState(),
-                             rig.machine().stats()};
-        };
-        expectEquivalent(record(true), record(false));
-    }
-}
-
-/**
- * The verification safety net must hold on both dispatch paths:
- * generated workloads run under the invariant checker, then the
- * architectural end state is diffed against the sequential reference
- * interpreter (itself running its own dispatch table).
- */
-TEST(UopEquivalence, DifferentialAndInvariantsBothPaths)
-{
-    for (bool use_uops : {true, false}) {
-        for (std::uint64_t seed : {7u, 19u}) {
-            GenOptions opts;
-            MultiStreamProgram msp = generateMultiStream(seed, opts);
-            MachineConfig cfg;
-            cfg.uopDispatch = use_uops;
-            MachineRig rig(msp, cfg);
-            InvariantChecker chk(rig.machine());
-            rig.machine().setObserver(&chk);
-            rig.start();
-            rig.machine().run(rig.cycleBudget());
-            EXPECT_TRUE(rig.machine().idle())
-                << "seed " << seed << " uops " << use_uops;
-            for (const std::string &d : compareWithReference(rig))
-                ADD_FAILURE() << "seed " << seed << " uops "
-                              << use_uops << ": " << d;
-            EXPECT_TRUE(chk.ok()) << chk.report();
-            rig.machine().setObserver(nullptr);
-        }
-    }
-}
-
-// ---- Interpreter equivalence ----
-
-/** Architectural fingerprint of a finished interpreter. */
-std::string
-interpFingerprint(const Interp &ip)
-{
-    std::string fp =
-        strprintf("pc=%u halted=%d ovf=%llu ill=%llu", ip.pc(),
-                  ip.halted() ? 1 : 0,
-                  (unsigned long long)ip.overflowEvents(),
-                  (unsigned long long)ip.illegalEvents());
-    for (unsigned r = 0; r < 16; ++r)
-        fp += strprintf(" r%u=%04x", r, ip.readReg(r));
-    for (Addr a = 0; a < 0x80; ++a)
-        fp += strprintf(" m%02x=%04x", a, ip.internalMemory().read(a));
-    return fp;
-}
-
-TEST(UopEquivalence, InterpreterBothPaths)
-{
-    Program p = assemble(
-        readFile(std::string(DISC_SOURCE_DIR) + "/examples/asm/gcd.s"));
-    auto record = [&](bool use_uops) {
-        Interp ip;
-        ip.setUopDispatch(use_uops);
-        ip.load(p);
-        ip.setPc(p.symbol("main"));
-        ip.run(100000);
-        EXPECT_TRUE(ip.halted());
-        return interpFingerprint(ip);
-    };
-    EXPECT_EQ(record(true), record(false));
-}
-
-// ---- Environment override ----
-
-TEST(UopDispatch, EnvironmentOverrideDisables)
-{
-    ::setenv("DISC_NO_UOP", "1", 1);
-    Machine off;
-    EXPECT_FALSE(off.uopDispatchEnabled());
-    Interp ioff;
-    EXPECT_FALSE(ioff.uopDispatchEnabled());
-    ::setenv("DISC_NO_UOP", "0", 1);
-    Machine zero;
-    EXPECT_TRUE(zero.uopDispatchEnabled());
-    ::unsetenv("DISC_NO_UOP");
-    Machine on;
-    EXPECT_TRUE(on.uopDispatchEnabled());
-    Interp ion;
-    EXPECT_TRUE(ion.uopDispatchEnabled());
-    MachineConfig cfg;
-    cfg.uopDispatch = false;
-    Machine cfg_off(cfg);
-    EXPECT_FALSE(cfg_off.uopDispatchEnabled());
 }
 
 } // namespace

@@ -206,7 +206,8 @@ TEST(Observer, DetachingRestoresBaseline)
 {
     // The runtime flag is the observer pointer: with it null the
     // machine must behave identically (the perf bar is covered by
-    // bench/perf_sim; here we check behavioural identity).
+    // the observer-free perfbench `machine` workload; here we check
+    // behavioural identity).
     MultiStreamProgram msp = generateMultiStream(9, GenOptions{});
 
     MachineRig plain(msp);

@@ -7,10 +7,10 @@ Reads two BENCH_throughput.json files (schema 4; schema 1/2/3
 baselines still work for the sections they carry) and fails with exit
 status 1 if any machine scenario's cycles_per_sec dropped by more
 than the tolerance relative to the baseline. Schema-3 files also
-carry a "dispatch" section (per execution tier: interp/uop/
-superblock) and schema-4 files a "batch" section (lockstep
-MachineBatch vs scalar at several batch widths); those scenarios are
-compared the same way when both files have them. Improvements and
+carry a "dispatch" section (per execution tier: uop/superblock)
+and schema-4 files a "batch" section (lockstep MachineBatch vs
+scalar at several batch widths); those scenarios are compared the
+same way when both files have them. Improvements and
 absolute cross-host differences never fail the check; the point is
 to catch a change that makes the simulator dramatically slower, not
 to pin the host.

@@ -74,8 +74,6 @@ struct FuzzCase
     bool defect = false;
     /** Run with the event-skip fast-forward enabled (coverage axis). */
     bool fastForward = true;
-    /** Run through the micro-op dispatch tables (coverage axis). */
-    bool useUops = true;
     /** Run with the superblock translation tier (coverage axis). */
     bool useSuperblock = true;
     /** Replay through a MachineBatch lane and diff (coverage axis). */
@@ -293,13 +291,11 @@ runBoardCase(const FuzzCase &c, CoverageMap *cov)
 
     MachineConfig scalar;
     scalar.fastForward = false;
-    scalar.uopDispatch = false;
     scalar.superblockExec = false;
     std::vector<std::uint8_t> base = runOne(scalar, false);
 
     MachineConfig accel;
     accel.fastForward = c.fastForward;
-    accel.uopDispatch = c.useUops;
     accel.superblockExec = c.useSuperblock;
     std::vector<std::uint8_t> fast = runOne(accel, c.useBatch);
 
@@ -307,11 +303,10 @@ runBoardCase(const FuzzCase &c, CoverageMap *cov)
     if (fast != base) {
         res.failed = true;
         res.detail += strprintf(
-            "board case: accelerated run (ff=%d uops=%d sb=%d "
-            "batch=%d) diverged from scalar stepping "
-            "(checkpoint mismatch)\n",
-            c.fastForward ? 1 : 0, c.useUops ? 1 : 0,
-            c.useSuperblock ? 1 : 0, c.useBatch ? 1 : 0);
+            "board case: accelerated run (ff=%d sb=%d batch=%d) "
+            "diverged from scalar stepping (checkpoint mismatch)\n",
+            c.fastForward ? 1 : 0, c.useSuperblock ? 1 : 0,
+            c.useBatch ? 1 : 0);
     }
 
     // Save/restore round-trip through the checkpoint-v3 board header.
@@ -334,7 +329,6 @@ runCase(const FuzzCase &c, CoverageMap *cov)
     MultiStreamProgram msp = generateMultiStream(c.seed, c.opts);
     MachineConfig cfg;
     cfg.fastForward = c.fastForward;
-    cfg.uopDispatch = c.useUops;
     cfg.superblockExec = c.useSuperblock;
     MachineRig rig(msp, cfg);
     if (c.defect)
@@ -472,18 +466,9 @@ shrinkCase(FuzzCase c)
             c = t;
     }
     if (c.useSuperblock) {
-        // Prefer a repro that fails in the plain per-cycle uop path:
-        // drop the superblock tier before touching the uop tables,
-        // since disabling the tables disables the tier too.
+        // Prefer a repro that fails in the plain per-cycle stage walk.
         FuzzCase t = c;
         t.useSuperblock = false;
-        if (stillFails(t))
-            c = t;
-    }
-    if (c.useUops) {
-        // Likewise prefer one that fails through the legacy switch.
-        FuzzCase t = c;
-        t.useUops = false;
         if (stillFails(t))
             c = t;
     }
@@ -520,7 +505,6 @@ reproText(const FuzzCase &c, const std::string &detail)
     out << "latency=" << c.opts.deviceLatency << "\n";
     out << "defect=" << (c.defect ? 1 : 0) << "\n";
     out << "fastforward=" << (c.fastForward ? 1 : 0) << "\n";
-    out << "uops=" << (c.useUops ? 1 : 0) << "\n";
     out << "superblock=" << (c.useSuperblock ? 1 : 0) << "\n";
     out << "batch=" << (c.useBatch ? 1 : 0) << "\n";
     out << "boardseed=" << c.boardSeed << "\n";
@@ -581,8 +565,6 @@ parseRepro(const char *path)
             c.defect = val != 0;
         else if (key == "fastforward")
             c.fastForward = val != 0;
-        else if (key == "uops")
-            c.useUops = val != 0;
         else if (key == "superblock")
             c.useSuperblock = val != 0;
         else if (key == "batch")
@@ -611,7 +593,6 @@ freshCase(std::uint64_t seed, bool defect)
     c.opts.useDevices = !rng.chance(0.15);
     c.opts.deviceLatency = static_cast<unsigned>(rng.below(7));
     c.fastForward = !rng.chance(0.25);
-    c.useUops = !rng.chance(0.25);
     c.useSuperblock = !rng.chance(0.25);
     c.useBatch = !rng.chance(0.25);
     if (rng.chance(0.25)) {
@@ -626,7 +607,7 @@ FuzzCase
 mutateCase(const FuzzCase &base, Rng &rng)
 {
     FuzzCase c = base;
-    switch (rng.below(10)) {
+    switch (rng.below(9)) {
       case 0:
         c.seed = rng.next64();
         break;
@@ -645,15 +626,12 @@ mutateCase(const FuzzCase &base, Rng &rng)
         c.fastForward = !c.fastForward;
         break;
       case 5:
-        c.useUops = !c.useUops;
-        break;
-      case 6:
         c.useSuperblock = !c.useSuperblock;
         break;
-      case 7:
+      case 6:
         c.useBatch = !c.useBatch;
         break;
-      case 8:
+      case 7:
         if (c.boardSeed == 0) {
             c.boardSeed = rng.next64() | 1;
             c.boardMask = static_cast<unsigned>(rng.below(16));

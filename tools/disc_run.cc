@@ -23,7 +23,7 @@
  *     --digest             print the run digest (checkpoint + trace
  *                          fingerprint; comparable with disc-serve)
  *     --no-superblock      disable the superblock execution tier
- *                          (per-cycle/uop path only; same effect as
+ *                          (per-cycle path only; same effect as
  *                          DISC_NO_SUPERBLOCK=1)
  *
  * Exit status: 0 on success, 1 on assembly/usage errors.
