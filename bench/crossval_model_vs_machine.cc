@@ -30,9 +30,9 @@ namespace
 {
 
 /**
- * The four machine cells (1..4 streams) of one workload, advanced as
- * lanes of a single lockstep batch via runMachineReplicas: replica k
- * is the (k+1)-stream machine. Bit-identical to four scalar runs.
+ * The four machine cells (1..4 streams) of one workload, run as
+ * replicas via runMachineReplicas: replica k is the (k+1)-stream
+ * machine.
  */
 std::vector<double>
 machineUtilizations(const Program &p,
@@ -88,7 +88,7 @@ machineIoOnly()
             ld  r1, [g0]
             jmp loop
     )");
-    // One private fixed-latency device per replica lane.
+    // One private fixed-latency device per replica.
     std::vector<ExternalMemoryDevice> devs(kNumStreams,
                                            ExternalMemoryDevice(64, 6));
     return machineUtilizations(p, &devs);

@@ -8,12 +8,11 @@
  *  - cycle-accurate Machine: simulated cycles/sec and simulated MIPS
  *    (retired instructions/sec) for a single-stream compute loop, a
  *    four-stream compute loop and a four-stream external-bus workload;
- *  - batch-width sweep: the four-stream compute loop advanced through
- *    MachineBatch lockstep dispatch vs per-machine Machine::run() at
- *    widths {1, 4, 16, 64}, best-of-three per side. The recorded
- *    batched/scalar ratio is within-run and therefore host-speed-
- *    independent — it is the absolute promise check_perf.py's
- *    --batch-min-ratio gate holds;
+ *  - hot-chunk ratio: the four-stream compute loop through Machine::run()
+ *    with hot chunks vs run() with batchExec = false (the per-cycle
+ *    walk), best-of-three per side. The recorded ratio is within-run
+ *    and therefore host-speed-independent — it is the absolute promise
+ *    check_perf.py's --hot-min-ratio gate holds;
  *  - stochastic model: simulated cycles/sec (events) for a four-stream
  *    standard-load run;
  *  - experiment harness: wall-clock for the same replicated experiment
@@ -35,7 +34,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -46,7 +44,6 @@
 #include "bench_util.hh"
 #include "common/threadpool.hh"
 #include "isa/assembler.hh"
-#include "sim/batch.hh"
 #include "sim/machine.hh"
 #include "stochastic/experiment.hh"
 
@@ -75,7 +72,8 @@ struct MachineRate
  * (all tiers enabled, environment overrides respected) feeds the
  * long-lived "machine" section; the dispatch sweep forces each tier
  * explicitly so the per-tier numbers are comparable across hosts and
- * environments.
+ * environments. Both forced tiers run without hot chunks, which the
+ * "hot" section measures on its own.
  */
 enum class Dispatch
 {
@@ -105,9 +103,11 @@ applyDispatch(Machine &m, Dispatch d)
         break;
       case Dispatch::Uop:
         m.setSuperblockExec(false);
+        m.setBatchExec(false);
         break;
       case Dispatch::Superblock:
         m.setSuperblockExec(true);
+        m.setBatchExec(false);
         break;
     }
 }
@@ -224,28 +224,25 @@ measureIoBound(double budget_sec)
     return measureMachine(m, budget_sec);
 }
 
-/** One point on the batch-width sweep. */
-struct BatchPoint
+/** Hot chunks against the per-cycle walk on one workload. */
+struct HotRatio
 {
-    unsigned width = 1;
-    double batchedCyclesPerSec = 0; ///< MachineBatch lockstep
-    double scalarCyclesPerSec = 0;  ///< per-machine Machine::run()
-    double ratio = 0;               ///< batched / scalar
+    double hotCyclesPerSec = 0;      ///< run() with hot chunks
+    double perCycleCyclesPerSec = 0; ///< run() with batchExec = false
+    double ratio = 0;                ///< hot / per-cycle
 };
 
 /**
- * Batched-vs-scalar throughput at one batch width on the four-stream
- * compute loop. Both sides advance `width` identically configured
- * machines by the same per-call budget; the only difference is
- * whether a MachineBatch dispatch or a per-machine run() loop drives
- * them, so the ratio is a host-speed-independent measure of what the
- * lockstep tier buys. Samples are interleaved batched/scalar and the
- * best of three kept per side: the workload is deterministic, so
- * repeats only reject scheduler noise — single samples on a busy
- * host swing the ratio by +-0.1.
+ * Hot-chunk vs per-cycle throughput on the four-stream compute loop.
+ * Both sides drive an identically configured machine through run()
+ * by the same per-call budget; the only difference is batchExec, so
+ * the ratio is a host-speed-independent measure of what the hot-chunk
+ * tier buys. Samples alternate between the sides and the best of
+ * three is kept per side: the workload is deterministic, so repeats
+ * only reject scheduler noise.
  */
-BatchPoint
-measureBatchWidth(unsigned width, double budget_sec)
+HotRatio
+measureHotRatio(double budget_sec)
 {
     Program p = assemble(R"(
         .org 0x20
@@ -257,58 +254,44 @@ measureBatchWidth(unsigned width, double budget_sec)
             sub r5, r4, r1
             jmp entry
     )");
-    auto build = [&p](unsigned n) {
-        std::vector<std::unique_ptr<Machine>> ms;
-        for (unsigned i = 0; i < n; ++i) {
-            ms.push_back(std::make_unique<Machine>());
-            ms.back()->load(p);
-            for (StreamId s = 0; s < kNumStreams; ++s)
-                ms.back()->startStream(s, p.symbol("entry"));
-        }
-        return ms;
+    auto build = [&p](bool hot) {
+        auto m = std::make_unique<Machine>();
+        m->load(p);
+        m->setBatchExec(hot);
+        for (StreamId s = 0; s < kNumStreams; ++s)
+            m->startStream(s, p.symbol("entry"));
+        return m;
     };
-    std::vector<std::unique_ptr<Machine>> bms = build(width);
-    std::vector<std::unique_ptr<Machine>> sms = build(width);
-    MachineBatch mb(width);
-    for (std::unique_ptr<Machine> &m : bms)
-        mb.add(m.get());
+    std::unique_ptr<Machine> hot = build(true);
+    std::unique_ptr<Machine> percycle = build(false);
 
+    // With stop_when_idle = false every call advances exactly kChunk
+    // cycles on this never-idle loop: a fixed quantum of work.
     constexpr Cycle kChunk = 100000;
-    auto batchedOnce = [&] { mb.run(kChunk, false); };
-    auto scalarOnce = [&] {
-        for (std::unique_ptr<Machine> &m : sms)
-            m->run(kChunk, false);
-    };
-    // With stop_when_idle = false every machine advances exactly
-    // kChunk cycles per call on this never-idle loop, so a call is a
-    // fixed quantum of simulated work on both sides.
-    const double per_call = static_cast<double>(kChunk) * width;
-    auto sample = [&](const std::function<void()> &once) {
+    auto sample = [&](Machine &m) {
         std::uint64_t calls = 0;
         auto start = Clock::now();
         double elapsed = 0;
         do {
-            once();
+            m.run(kChunk, false);
             ++calls;
             elapsed = secondsSince(start);
         } while (elapsed < budget_sec);
-        return static_cast<double>(calls) * per_call / elapsed;
+        return static_cast<double>(calls * kChunk) / elapsed;
     };
 
-    batchedOnce(); // warm both paths before timing
-    scalarOnce();
-    BatchPoint pt;
-    pt.width = width;
+    hot->run(kChunk, false); // warm both paths before timing
+    percycle->run(kChunk, false);
+    HotRatio r;
     for (int rep = 0; rep < 3; ++rep) {
-        pt.batchedCyclesPerSec =
-            std::max(pt.batchedCyclesPerSec, sample(batchedOnce));
-        pt.scalarCyclesPerSec =
-            std::max(pt.scalarCyclesPerSec, sample(scalarOnce));
+        r.hotCyclesPerSec = std::max(r.hotCyclesPerSec, sample(*hot));
+        r.perCycleCyclesPerSec =
+            std::max(r.perCycleCyclesPerSec, sample(*percycle));
     }
-    pt.ratio = pt.scalarCyclesPerSec > 0
-                   ? pt.batchedCyclesPerSec / pt.scalarCyclesPerSec
-                   : 0;
-    return pt;
+    r.ratio = r.perCycleCyclesPerSec > 0
+                  ? r.hotCyclesPerSec / r.perCycleCyclesPerSec
+                  : 0;
+    return r;
 }
 
 double
@@ -456,19 +439,14 @@ main(int argc, char **argv)
         }
     }
 
-    // Batch-width sweep: lockstep MachineBatch vs per-machine run()
-    // on the four-stream compute loop. The ratio column is the
-    // host-independent quantity (both sides move with host speed).
-    constexpr unsigned kBatchWidths[] = {1, 4, 16, 64};
-    std::vector<BatchPoint> bpoints;
-    for (unsigned w : kBatchWidths) {
-        bpoints.push_back(measureBatchWidth(w, budget));
-        const BatchPoint &bp = bpoints.back();
-        std::printf("  batch width %-10u %10.2f Mcycles/s  vs scalar "
-                    "%.2f Mcycles/s  ratio %.2fx\n",
-                    bp.width, bp.batchedCyclesPerSec / 1e6,
-                    bp.scalarCyclesPerSec / 1e6, bp.ratio);
-    }
+    // Hot chunks vs the per-cycle walk on the four-stream compute
+    // loop. The ratio is the host-independent quantity (both sides
+    // move with host speed).
+    HotRatio hot = measureHotRatio(budget);
+    std::printf("  %-22s %10.2f Mcycles/s  vs per-cycle %.2f Mcycles/s"
+                "  ratio %.2fx\n",
+                "four_stream/hot", hot.hotCyclesPerSec / 1e6,
+                hot.perCycleCyclesPerSec / 1e6, hot.ratio);
 
     double stochastic = measureStochastic(budget);
     std::printf("  %-22s %10.2f Mcycles/s\n", "stochastic model",
@@ -488,7 +466,7 @@ main(int argc, char **argv)
     }
     unsigned hw = std::thread::hardware_concurrency();
     out << "{\n"
-        << "  \"schema\": 4,\n"
+        << "  \"schema\": 5,\n"
         << "  \"host_threads\": " << (hw ? hw : 1) << ",\n"
         << "  \"machine\": {\n";
     auto emit = [&out](const char *key, const MachineRate &r,
@@ -516,17 +494,11 @@ main(int argc, char **argv)
         out << "}" << (ri + 1 < 3 ? ",\n" : "\n");
     }
     out << "  },\n"
-        << "  \"batch\": {\n"
-        << "    \"widths\": [\n";
-    for (std::size_t i = 0; i < bpoints.size(); ++i) {
-        const BatchPoint &bp = bpoints[i];
-        out << "      {\"width\": " << bp.width
-            << ", \"batched_cycles_per_sec\": " << bp.batchedCyclesPerSec
-            << ", \"scalar_cycles_per_sec\": " << bp.scalarCyclesPerSec
-            << ", \"ratio\": " << bp.ratio << "}"
-            << (i + 1 < bpoints.size() ? ",\n" : "\n");
-    }
-    out << "    ]\n"
+        << "  \"hot\": {\n"
+        << "    \"four_stream\": {\"hot_cycles_per_sec\": "
+        << hot.hotCyclesPerSec << ", \"percycle_cycles_per_sec\": "
+        << hot.perCycleCyclesPerSec << ", \"ratio\": " << hot.ratio
+        << "}\n"
         << "  },\n"
         << "  \"stochastic\": {\"model_cycles_per_sec\": " << stochastic
         << "},\n"

@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "common/threadpool.hh"
-#include "sim/batch.hh"
 
 namespace disc::serve
 {
@@ -109,80 +108,11 @@ RequestScheduler::execute(std::vector<ServeJob> &batch)
     if (batch.empty())
         return;
 
-    // Coalesce same-advance Run/Step jobs into lockstep units: jobs
-    // sharing (kind, cycles, stopWhenIdle) advance their machines in
-    // one MachineBatch dispatch. Everything else — opaque jobs and
-    // singleton groups — stays a plain run() call. One unit is one
-    // pool task, so the dispatch fan-out matches the unit count.
-    struct Unit
-    {
-        std::vector<std::size_t> jobs;
-    };
-    std::vector<Unit> units;
-    std::vector<bool> placed(batch.size(), false);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (placed[i])
-            continue;
-        Unit u;
-        u.jobs.push_back(i);
-        placed[i] = true;
-        const ServeJob &a = batch[i];
-        if (a.batchKind != BatchKind::None && a.prepare && a.finish) {
-            for (std::size_t j = i + 1; j < batch.size(); ++j) {
-                const ServeJob &b = batch[j];
-                if (!placed[j] && b.batchKind == a.batchKind &&
-                    b.prepare && b.finish &&
-                    b.batchCycles == a.batchCycles &&
-                    b.batchStopWhenIdle == a.batchStopWhenIdle)
-                {
-                    u.jobs.push_back(j);
-                    placed[j] = true;
-                }
-            }
-        }
-        units.push_back(std::move(u));
-    }
-
-    auto runUnit = [&](Unit &u) {
-        if (u.jobs.size() == 1) {
-            batch[u.jobs[0]].run();
-            return;
-        }
-        // A coalesced group: pin every session, advance the pinned
-        // machines in lockstep, then reply and unpin. A prepare()
-        // that returns nullptr has already replied (unknown session,
-        // mid-migration, ...) and simply drops out of the lanes.
-        std::vector<Machine *> lanes(u.jobs.size(), nullptr);
-        for (std::size_t k = 0; k < u.jobs.size(); ++k)
-            lanes[k] = batch[u.jobs[k]].prepare();
-        MachineBatch mb(u.jobs.size());
-        for (Machine *m : lanes) {
-            if (m)
-                mb.add(m);
-        }
-        if (mb.size() != 0) {
-            const ServeJob &a = batch[u.jobs[0]];
-            if (a.batchKind == BatchKind::Run)
-                mb.run(a.batchCycles, a.batchStopWhenIdle);
-            else
-                mb.step(a.batchCycles);
-            metrics_.batchDispatches.fetch_add(1);
-            metrics_.batchedMachines.fetch_add(mb.size());
-            std::uint64_t lanes_n = mb.size();
-            if (lanes_n > metrics_.maxBatchMachines.load())
-                metrics_.maxBatchMachines.store(lanes_n);
-        }
-        for (std::size_t k = 0; k < u.jobs.size(); ++k) {
-            if (lanes[k])
-                batch[u.jobs[k]].finish();
-        }
-    };
-
-    if (units.size() == 1) {
-        runUnit(units[0]);
+    if (batch.size() == 1) {
+        batch[0].run();
     } else {
         ThreadPool::global().parallelFor(
-            units.size(), [&](std::size_t i) { runUnit(units[i]); });
+            batch.size(), [&](std::size_t i) { batch[i].run(); });
     }
     metrics_.batches.fetch_add(1);
     metrics_.batchedJobs.fetch_add(batch.size());

@@ -45,11 +45,6 @@
 #include "common/types.hh"
 #include "serve/share_table.hh"
 
-namespace disc
-{
-class Machine;
-}
-
 namespace disc::serve
 {
 
@@ -58,18 +53,6 @@ enum class Drop : std::uint8_t
 {
     Deadline = 1, ///< waited past its deadline (load shedding)
     Draining = 2, ///< server is shutting down
-};
-
-/**
- * How a job's simulation work may coalesce into a lockstep
- * MachineBatch (sim/batch.hh) with other same-advance jobs of the
- * same gathered batch.
- */
-enum class BatchKind : std::uint8_t
-{
-    None, ///< opaque job: always executes via run()
-    Run,  ///< Machine::run(batchCycles, batchStopWhenIdle)
-    Step, ///< batchCycles bare Machine::step() calls
 };
 
 /** One queued unit of work. */
@@ -81,24 +64,6 @@ struct ServeJob
     std::chrono::steady_clock::time_point enqueued{};
     std::function<void()> run;          ///< pool thread; must not throw
     std::function<void(Drop)> dropped;  ///< shed/drain notice
-
-    /**
-     * Lockstep coalescing. Jobs of a gathered batch that share
-     * (batchKind != None, batchCycles, batchStopWhenIdle) advance
-     * their machines through one MachineBatch dispatch instead of
-     * independent run() calls — bit-identical per machine, so the
-     * grouping is purely a throughput choice. prepare() pins the
-     * session and returns its machine (nullptr = not advanceable
-     * right now — the job must have replied already); finish() builds
-     * and sends the reply, then releases the pin. Singleton groups
-     * and None jobs execute via run(), which must remain the complete
-     * scalar equivalent.
-     */
-    BatchKind batchKind = BatchKind::None;
-    Cycle batchCycles = 0;
-    bool batchStopWhenIdle = false;
-    std::function<Machine *()> prepare; ///< must not throw
-    std::function<void()> finish;       ///< must not throw
 };
 
 /** Dispatch counters (relaxed atomics; exact under quiescence). */
@@ -113,12 +78,6 @@ struct SchedulerMetrics
     std::atomic<std::uint64_t> batchedJobs{0};
     std::atomic<std::uint64_t> maxBatch{0};
     std::atomic<std::uint64_t> maxQueueDepth{0};
-    /// Lockstep occupancy: MachineBatch dispatches, machines summed
-    /// over them, and the largest single dispatch (mean occupancy =
-    /// batchedMachines / batchDispatches).
-    std::atomic<std::uint64_t> batchDispatches{0};
-    std::atomic<std::uint64_t> batchedMachines{0};
-    std::atomic<std::uint64_t> maxBatchMachines{0};
 };
 
 /** Share-policy batcher; see the file comment. */

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <optional>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/resource.h>
@@ -248,66 +247,6 @@ ServeServer::handle(const std::shared_ptr<EventConn> &conn,
                                          : "server draining";
         conn->sendFrame(encodeResponse(resp));
     };
-
-    if (req.type == MsgType::RunReq || req.type == MsgType::StepReq) {
-        // Lockstep coalescing (request_scheduler.hh): expose the
-        // session's machine so same-advance jobs of one gathered
-        // batch advance through a single MachineBatch dispatch.
-        // job.run stays the complete scalar path for singletons.
-        struct AdvanceCtx
-        {
-            std::optional<SessionLease> lease;
-            Cycle before = 0;
-        };
-        auto ctx = std::make_shared<AdvanceCtx>();
-        job.batchKind = req.type == MsgType::RunReq ? BatchKind::Run
-                                                    : BatchKind::Step;
-        job.batchCycles = req.type == MsgType::RunReq ? req.maxCycles
-                                                      : req.stepCycles;
-        job.batchStopWhenIdle = req.stopWhenIdle;
-        job.prepare = [this, conn, req, ctx]() -> Machine * {
-            setLogTag("sess " + req.session);
-            for (int attempt = 0;; ++attempt)
-            try {
-                // Same late resolution + one retry as execute().
-                awaitMigration(req.session);
-                SessionRegistry &reg =
-                    *shards_[shardOf(req.session)]->registry;
-                ctx->lease.emplace(reg.acquire(req.session));
-                Machine &m = (*ctx->lease)->machine();
-                ctx->before = m.stats().cycles;
-                return &m;
-            } catch (const std::exception &e) {
-                if (attempt == 0) {
-                    awaitMigration(req.session);
-                    if (shards_[shardOf(req.session)]->registry->has(
-                            req.session))
-                        continue;
-                }
-                Response resp;
-                resp.seq = req.seq;
-                resp.type = MsgType::ErrorResp;
-                resp.error = e.what();
-                conn->sendFrame(encodeResponse(resp));
-                return nullptr;
-            }
-        };
-        job.finish = [conn, req, ctx] {
-            Machine &m = (*ctx->lease)->machine();
-            Response resp;
-            resp.seq = req.seq;
-            resp.ran = req.type == MsgType::RunReq
-                           ? m.stats().cycles - ctx->before
-                           : req.stepCycles;
-            resp.totalCycles = m.stats().cycles;
-            resp.retired = m.stats().totalRetired;
-            resp.idle = m.idle();
-            resp.type = req.type == MsgType::RunReq ? MsgType::RunResp
-                                                    : MsgType::StepResp;
-            ctx->lease.reset(); // unpin before the reply hits the wire
-            conn->sendFrame(encodeResponse(resp));
-        };
-    }
 
     RequestScheduler &sched = *shards_[shardOf(req.session)]->sched;
     switch (sched.submit(std::move(job))) {
@@ -661,13 +600,9 @@ ServeServer::metricsCounters() const
     std::uint64_t accepted = 0, completed = 0, shed = 0, qfull = 0,
                   draining = 0, queued = 0, maxdepth = 0, batches = 0,
                   batched = 0, maxbatch = 0, sessions = 0,
-                  resident = 0, evicted = 0, restored = 0,
-                  bdisp = 0, bmach = 0, bmax = 0;
+                  resident = 0, evicted = 0, restored = 0;
     for (const auto &sh : shards_) {
         const SchedulerMetrics &m = sh->sched->metrics();
-        bdisp += m.batchDispatches.load();
-        bmach += m.batchedMachines.load();
-        bmax = std::max(bmax, m.maxBatchMachines.load());
         accepted += m.accepted.load();
         completed += m.completed.load();
         shed += m.shedDeadline.load();
@@ -694,9 +629,6 @@ ServeServer::metricsCounters() const
     out.emplace_back("batches", batches);
     out.emplace_back("batched_jobs", batched);
     out.emplace_back("max_batch", maxbatch);
-    out.emplace_back("batch_dispatches", bdisp);
-    out.emplace_back("batched_machines", bmach);
-    out.emplace_back("max_batch_machines", bmax);
     out.emplace_back("sessions", sessions);
     out.emplace_back("resident", resident);
     out.emplace_back("evicted", evicted);

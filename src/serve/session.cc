@@ -318,6 +318,12 @@ SessionRegistry::release(Session &s)
 void
 SessionRegistry::enforceResidency()
 {
+    // Never block on a victim's mutex: its holder may be waiting for a
+    // session this thread still holds (one thread holding two leases
+    // while another evicts would deadlock). A busy victim is skipped
+    // for the rest of this pass; the next release re-enforces the
+    // bound.
+    std::vector<Session *> busy;
     for (;;) {
         Session *victim = nullptr;
         {
@@ -328,22 +334,29 @@ SessionRegistry::enforceResidency()
                 std::numeric_limits<std::uint64_t>::max();
             for (auto &[id, s] : sessions_) {
                 if (s->resident_.load() && s->pins_.load() == 0 &&
-                    s->lastUsed_.load() < best) {
+                    s->lastUsed_.load() < best &&
+                    std::find(busy.begin(), busy.end(), s.get()) ==
+                        busy.end()) {
                     best = s->lastUsed_.load();
                     victim = s.get();
                 }
             }
             if (!victim)
-                return; // everything over the bound is pinned
+                return; // everything over the bound is pinned or busy
             victim->pins_.fetch_add(1);
         }
-        {
-            std::lock_guard<std::mutex> g(victim->m_);
+        try {
+            std::unique_lock<std::mutex> g(victim->m_, std::try_to_lock);
             // A racing acquire() may have pinned (and will re-restore
             // after us) — or already be using it; only park when this
             // evictor holds the sole pin.
-            if (victim->pins_.load() == 1 && victim->resident_.load())
+            if (!g.owns_lock())
+                busy.push_back(victim);
+            else if (victim->pins_.load() == 1 && victim->resident_.load())
                 park(*victim);
+        } catch (...) {
+            victim->pins_.fetch_sub(1);
+            throw;
         }
         victim->pins_.fetch_sub(1);
     }

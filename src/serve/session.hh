@@ -22,7 +22,9 @@
  * making machine access exclusive for the lease's lifetime. The
  * resident bound is enforced after each release — a batch may
  * transiently pin more sessions than the bound, which then drains
- * back under it.
+ * back under it. Eviction only try-locks a victim's session mutex, so
+ * a thread may hold several leases at once without a lock-order
+ * deadlock against another thread's eviction.
  */
 
 #ifndef DISC_SERVE_SESSION_HH
@@ -249,7 +251,11 @@ class SessionRegistry
     /** Rebuild the machine from the park file. Caller holds s.m_. */
     void unpark(Session &s);
 
-    /** Park LRU sessions until the residency bound holds. */
+    /**
+     * Park LRU sessions until the residency bound holds. Never blocks
+     * on a session mutex: pinned or busy sessions are skipped, and the
+     * next release() re-enforces the bound.
+     */
     void enforceResidency();
 
     /** Called by ~SessionLease: unpin and re-enforce the bound. */

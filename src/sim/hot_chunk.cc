@@ -1,7 +1,7 @@
 /**
  * @file
- * MachineBatch implementation: the lockstep dispatcher and the lean
- * hot-chunk cycle loop. See batch.hh for the regime argument; the
+ * The hot-chunk tier of Machine::run(): a lean cycle loop for busy
+ * spans between events. See machine.hh for the regime argument; the
  * short version is that a chunk only runs while the per-cycle
  * bookkeeping of Machine::step() is provably loop-invariant, so it
  * is hoisted (event horizon) or settled as a span (wait tallies,
@@ -12,23 +12,21 @@
  *
  * The cycle loop is mirrored inline rather than calling step():
  * Machine::step() inlines advancePipe/EX/issue into its own TU, so a
- * cross-TU call per stage would erase the batch advantage. The
- * mirror must stay a specialisation of machine.cc / stage_issue.cc /
+ * cross-TU call per stage would erase the advantage. The mirror must
+ * stay a specialisation of machine.cc / stage_issue.cc /
  * stage_execute.cc: readiness is IssueStage::readyMask() with the
  * wait/activity checks replaced by the frozen candidate mask, the
  * pendingVector probe elided until the trap sentinel proves a vector
  * can exist, and the per-stream dep masks patched incrementally for
- * touched streams only. The scalar path is the oracle;
+ * touched streams only. Per-cycle stepping is the oracle;
  * tests/test_batch.cc holds the two bit-identical across every
  * workload the fuzzer can produce.
  */
 
-#include "sim/batch.hh"
-
+#include <algorithm>
 #include <bit>
 #include <vector>
 
-#include "common/logging.hh"
 #include "isa/instruction.hh"
 #include "isa/predecode.hh"
 #include "sim/machine.hh"
@@ -52,94 +50,102 @@ constexpr std::uint32_t kIntCtlWrites =
 inline bool
 hotIssue(const PipeSlot &slot)
 {
-    return batchHotUop(slot.uop) && (slot.writesMask & kIntCtlWrites) == 0;
-}
-
-/** True when an in-flight, not-yet-executed slot would leave the hot
- *  regime at EX — a chunk must not start while one is pending. */
-inline bool
-pipeHasColdInFlight(const std::vector<PipeSlot> &pipe)
-{
-    for (const PipeSlot &slot : pipe) {
-        if (slot.valid && !slot.squashed && !slot.executed &&
-            !hotIssue(slot))
-            return true;
-    }
-    return false;
+    return hotChunkUop(slot.uop) && (slot.writesMask & kIntCtlWrites) == 0;
 }
 
 } // namespace
 
 const char *
-batchPeelName(BatchPeel p)
+hotExitName(HotExit e)
 {
-    switch (p) {
-      case BatchPeel::Event: return "event";
-      case BatchPeel::NonHot: return "non-hot";
-      case BatchPeel::Stall: return "stall";
-      case BatchPeel::Done: return "done";
-      case BatchPeel::Baseline: return "baseline";
-      case BatchPeel::Observed: return "observed";
-      case BatchPeel::Disabled: return "disabled";
-      case BatchPeel::NumReasons: break;
+    switch (e) {
+      case HotExit::Event: return "event";
+      case HotExit::NonHot: return "non-hot";
+      case HotExit::Stall: return "stall";
+      case HotExit::Budget: return "budget";
+      case HotExit::NumReasons: break;
     }
     return "?";
 }
 
-MachineBatch::MachineBatch(std::size_t capacity) : arena_(capacity) {}
-
-void
-MachineBatch::add(Machine *m)
-{
-    if (!m)
-        fatal("null machine added to a batch");
-    arena_.push(m, 0);
-}
-
-void
-MachineBatch::clear()
-{
-    arena_.clear();
-}
-
-void
-MachineBatch::run(Cycle max_cycles, bool stop_when_idle)
-{
-    dispatch(max_cycles, stop_when_idle, Mode::Run);
-}
-
-void
-MachineBatch::step(Cycle n)
-{
-    dispatch(n, false, Mode::Step);
-}
-
+/** Cycles until no unexecuted in-flight slot would leave the hot
+ *  regime at EX (0: none is in flight) — a chunk must not start while
+ *  one is pending. */
 Cycle
-MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
-                       BatchPeel &peel)
+Machine::coldCyclesLeft() const
 {
-    const Cycle start = m.stats_.cycles;
+    const unsigned ex_stage = cfg_.pipeDepth - 2;
+    for (unsigned k = 0; k < cfg_.pipeDepth; ++k) {
+        const PipeSlot &slot = pipeAt(k);
+        if (slot.valid && !slot.squashed && !slot.executed &&
+            !hotIssue(slot))
+            return k < ex_stage ? ex_stage - k : 1;
+    }
+    return 0;
+}
+
+/**
+ * One chunk attempt from run(): refuse (and pace the next attempt), or
+ * run a chunk of at most @p budget cycles. Returns true when run()
+ * should loop back without stepping: after a Budget exit, and after a
+ * NonHot exit so the next iteration paces while step() carries the
+ * cold op through EX. On a refusal, an Event exit (step() fires the
+ * event) or a Stall exit it returns false.
+ */
+bool
+Machine::tryHotChunk(Cycle budget, HotPacing &pacing)
+{
+    Cycle cold = coldCyclesLeft();
+    Cycle next = cold ? 0 : timing_.nextEventTime();
+    if (cold || next < stats_.cycles + cfg_.pipeDepth) {
+        // Step a cold op through EX first, or let a close event fire:
+        // a chunk shorter than a pipe refill cannot repay its setup.
+        // The wait grows while refusals repeat, so code that meets
+        // cold ops or events this densely (the bus kernels) rarely
+        // pays for the probe.
+        pacing.hold =
+            (cold ? stats_.cycles + cold : next + 1) + pacing.backoff;
+        pacing.backoff = std::min<Cycle>(2 * pacing.backoff + 1, 64);
+        return false;
+    }
+    const Cycle start = stats_.cycles;
+    HotExit why = hotChunk(budget);
+    ++stats_.hotExits[static_cast<unsigned>(why)];
+    if (stats_.cycles - start >= cfg_.pipeDepth)
+        pacing.backoff = 0;
+    if (why == HotExit::Stall) {
+        // Nothing can issue until an event fires: step() drains the
+        // pipe and fast-forward takes the rest of the span.
+        next = timing_.nextEventTime();
+        pacing.hold = next == kNoEvent ? kNoEvent : next + 1;
+    }
+    return why == HotExit::NonHot || why == HotExit::Budget;
+}
+
+/**
+ * The lean cycle loop: step up to @p budget cycles inside the frozen
+ * regime described in machine.hh and return the reason the chunk
+ * ended. Cycles advance by hot-stepped cycles plus any superblock
+ * spans entered from the chunk.
+ */
+__attribute__((noinline)) HotExit
+Machine::hotChunk(Cycle budget)
+{
+    const Cycle start = stats_.cycles;
     Cycle end_at = start + budget;
-    peel = BatchPeel::Done;
-    if (Cycle next = m.timing_.nextEventTime(); next != kNoEvent) {
-        if (next <= start) {
-            peel = BatchPeel::Event;
-            return 0;
-        }
-        if (next < end_at) {
-            end_at = next;
-            peel = BatchPeel::Event;
-        }
+    HotExit at_end = HotExit::Budget;
+    if (Cycle next = timing_.nextEventTime(); next < end_at) {
+        end_at = next;
+        at_end = HotExit::Event;
     }
 
-    ++stats_.hotChunks;
-    const bool allow_sb = mode == Mode::Run && m.sbEnabled_;
-    const unsigned depth = m.cfg_.pipeDepth;
+    const bool allow_sb = sbEnabled_;
+    const unsigned depth = cfg_.pipeDepth;
     const unsigned ex_stage = depth - 2;
     const UopTable<ExecFn> &extab = execTable();
-    ExecTrace *const etrace = m.execTrace_;
+    ExecTrace *const etrace = execTrace_;
 
-    // Frozen per-stream categories (see batch.hh): recomputed after
+    // Frozen per-stream categories (see machine.hh): recomputed after
     // every superblock span, invariant across hot-stepped cycles.
     unsigned cand = 0;
     unsigned wait_mask = 0;
@@ -152,16 +158,15 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
         wait_mask = 0;
         vec_watch = false;
         for (StreamId s = 0; s < kNumStreams; ++s) {
-            if (m.streams_[s].wait != WaitState::Ready)
+            if (streams_[s].wait != WaitState::Ready)
                 wait_mask |= 1u << s;
-            else if (m.intUnit_.isActive(s))
+            else if (intUnit_.isActive(s))
                 cand |= 1u << s;
-            if ((m.intUnit_.ir(s) & m.intUnit_.mr(s) & ~1u) != 0)
+            if ((intUnit_.ir(s) & intUnit_.mr(s) & ~1u) != 0)
                 vec_watch = true;
         }
-        sentinel =
-            m.stats_.illegalInstructions + m.stats_.stackOverflows;
-        span_start = m.stats_.cycles;
+        sentinel = stats_.illegalInstructions + stats_.stackOverflows;
+        span_start = stats_.cycles;
     };
 
     // Settle the span since span_start: every cycle of it had the
@@ -173,26 +178,26 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
     std::uint64_t bub = 0;
 
     auto settle = [&] {
-        m.stats_.bubbles += bub;
+        stats_.bubbles += bub;
         bub = 0;
-        Cycle span = m.stats_.cycles - span_start;
-        span_start = m.stats_.cycles;
+        Cycle span = stats_.cycles - span_start;
+        span_start = stats_.cycles;
         if (span == 0)
             return;
         stats_.hotCycles += span;
         for (StreamId s = 0; s < kNumStreams; ++s) {
             if (wait_mask & (1u << s))
-                m.stats_.waitAbiCycles[s] += span;
+                stats_.waitAbiCycles[s] += span;
             else if (cand & (1u << s))
-                m.stats_.readyCycles[s] += span;
+                stats_.readyCycles[s] += span;
             else
-                m.stats_.inactiveCycles[s] += span;
+                stats_.inactiveCycles[s] += span;
         }
-        m.stats_.busyCycles += span;
+        stats_.busyCycles += span;
     };
 
-    // Readiness cache — the incremental mirror of readyMask() (see
-    // the file comment in batch.hh). Per-candidate dep masks, live
+    // Readiness cache — the incremental mirror of readyMask().
+    // Per-candidate dep masks, live
     // slot counts and ready bits are rebuilt wholesale at freeze()
     // and then maintained in place at the sites that change them. The
     // two per-cycle sites are O(1): a retirement that empties its
@@ -221,7 +226,7 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
         std::uint32_t r = 0;
         unsigned n = 0;
         for (unsigned d = 0; d < depth; ++d) {
-            const PipeSlot &sl = m.pipe_[d];
+            const PipeSlot &sl = pipe_[d];
             if (sl.valid && !sl.squashed && sl.stream == s) {
                 w |= sl.writesMask;
                 r |= sl.readsMask;
@@ -241,12 +246,12 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
     // (the wait/activity filters are the frozen cand mask, the vector
     // probe is elided until vec_watch).
     auto readyBit = [&](StreamId s) -> unsigned {
-        if (vec_watch && m.intUnit_.pendingVector(s)) {
+        if (vec_watch && intUnit_.pendingVector(s)) {
             // Vectored fetches skip the interlock but serialise
             // against the pipe.
             return (in_flight & (1u << s)) ? 0u : 1u << s;
         }
-        const PredecodedInst &pd = m.pdec_.at(m.streams_[s].pc);
+        const PredecodedInst &pd = pdec_.at(streams_[s].pc);
         pd_cache[s] = &pd;
         if (!pd.legal)
             return 1u << s; // issue consumes it and raises the trap
@@ -269,37 +274,31 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
             gatherStream(static_cast<StreamId>(std::countr_zero(bits)));
         for (unsigned bits = cand; bits != 0; bits &= bits - 1)
             ready |= readyBit(static_cast<StreamId>(std::countr_zero(bits)));
-        redirects0 = m.stats_.redirects;
+        redirects0 = stats_.redirects;
     };
 
     freeze();
     rebuild();
 
-    while (m.stats_.cycles < end_at) {
+    while (stats_.cycles < end_at) {
         // cand is frozen: it can only change at freeze(), so the
         // stall test belongs here, not in the cycle loop.
         if (cand == 0) {
             settle();
-            peel = BatchPeel::Stall;
-            return m.stats_.cycles - start;
+            return HotExit::Stall;
         }
-        if (allow_sb && m.stats_.cycles >= m.sblock_.retryAt()) {
+        if (allow_sb && stats_.cycles >= sblock_.retryAt()) {
             // Flush the hot span first: an engaged block settles its
             // own cycles, so they must not sit between span_start and
             // the next settle().
             settle();
-            if (m.sblock_.execute(end_at - m.stats_.cycles)) {
+            if (sblock_.execute(end_at - stats_.cycles)) {
                 // The block may have changed activity (CLRI/HALT
                 // execute in-block) or left an external access at EX
                 // — re-establish the regime before hot-stepping on.
-                // Its cycles still ran under batch dispatch, so they
-                // count as hot for the batch diagnostics.
-                stats_.hotCycles += m.stats_.cycles - span_start;
-                span_start = m.stats_.cycles;
-                if (pipeHasColdInFlight(m.pipe_)) {
-                    peel = BatchPeel::NonHot;
-                    return m.stats_.cycles - start;
-                }
+                // Its cycles count as superblock cycles, not hot ones.
+                if (coldCyclesLeft() != 0)
+                    return HotExit::NonHot;
                 freeze();
                 rebuild();
                 continue;
@@ -307,7 +306,7 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
         }
         // The superblock retry memo bounds an inner span free of
         // per-cycle retry probes: when the memo is in the future the
-        // next attempt lands exactly where scalar run() would make
+        // next attempt lands exactly where per-cycle run() would make
         // it. A memo-free reject (ra in the past) re-attempts at the
         // span end instead of every cycle — engagement timing is not
         // architecturally visible (the block is bit-identical to
@@ -315,12 +314,12 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
         // span is guaranteed non-empty either way.
         Cycle inner_end = end_at;
         if (allow_sb) {
-            Cycle ra = m.sblock_.retryAt();
-            if (ra > m.stats_.cycles && ra < inner_end)
+            Cycle ra = sblock_.retryAt();
+            if (ra > stats_.cycles && ra < inner_end)
                 inner_end = ra;
         }
 
-      while (m.stats_.cycles < inner_end) {
+      while (stats_.cycles < inner_end) {
         // One architectural cycle: Machine::step() with the dispatch
         // probe hoisted (event horizon), the tallies deferred to
         // settle(), readiness patched from the cache, and the stage
@@ -328,9 +327,8 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
         // track machine.cc / stage_issue.cc / stage_execute.cc).
         // advancePipe(): the ring head moves back one slot; the slot
         // it lands on is the retiring WR, cleared to become new IF.
-        const unsigned head = m.pipeHead_ == 0 ? depth - 1
-                                               : m.pipeHead_ - 1;
-        PipeSlot &wrs = m.pipe_[head];
+        const unsigned head = pipeHead_ == 0 ? depth - 1 : pipeHead_ - 1;
+        PipeSlot &wrs = pipe_[head];
         const bool retiring =
             wrs.valid && !wrs.squashed && (cand & (1u << wrs.stream));
         const StreamId rs = wrs.stream;
@@ -341,7 +339,7 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
         // illegal paths restore the full advancePipe() clear for
         // checkpoint-byte parity.
         wrs.valid = false;
-        m.pipeHead_ = head; // live before any handler walks pipeAt()
+        pipeHead_ = head; // live before any handler walks pipeAt()
         if (retiring) {
             // Retirement sheds the slot's dep masks. The common case
             // leaves the stream's pipe share empty: clear the cache
@@ -365,12 +363,12 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
         unsigned ei = head + ex_stage;
         if (ei >= depth)
             ei -= depth;
-        PipeSlot &exs = m.pipe_[ei];
+        PipeSlot &exs = pipe_[ei];
         if (exs.valid && !exs.squashed && !exs.executed) {
             exs.executed = true;
-            extab[exs.uop](m.executeStage_, exs);
-            if (m.stats_.redirects != redirects0) {
-                redirects0 = m.stats_.redirects;
+            extab[exs.uop](executeStage_, exs);
+            if (stats_.redirects != redirects0) {
+                redirects0 = stats_.redirects;
                 if (cand & (1u << exs.stream)) {
                     // pc moved, younger same-stream slots squashed.
                     gatherStream(exs.stream);
@@ -378,12 +376,12 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
                 }
             }
             if (etrace && !exs.squashed)
-                etrace->record(m.stats_.cycles, exs.stream, exs.pc,
+                etrace->record(stats_.cycles, exs.stream, exs.pc,
                                exs.inst);
         }
 
         if (std::uint64_t s2 =
-                m.stats_.illegalInstructions + m.stats_.stackOverflows;
+                stats_.illegalInstructions + stats_.stackOverflows;
             s2 != sentinel) {
             sentinel = s2;
             vec_watch = true; // a trap raised: vectors can exist now
@@ -397,29 +395,29 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
         }
 
         bool cold_issued = false;
-        StreamId s = m.sched_.pick(ready);
+        StreamId s = sched_.pick(ready);
         if (s == kNoStream) {
             ++bub;
-            m.pipe_[head] = PipeSlot{}; // bubble: full advancePipe clear
+            pipe_[head] = PipeSlot{}; // bubble: full advancePipe clear
         } else {
-            StreamCtx &c = m.streams_[s];
+            StreamCtx &c = streams_[s];
             if (vec_watch) {
-                if (auto vec = m.intUnit_.pendingVector(s))
-                    m.vectorStage_.takeVector(s, *vec);
+                if (auto vec = intUnit_.pendingVector(s))
+                    vectorStage_.takeVector(s, *vec);
             }
             // A vector entry just moved the pc past the cached entry;
             // otherwise the last readyBit() looked this pc up already.
             const PredecodedInst &pd =
-                vec_watch ? m.pdec_.at(c.pc) : *pd_cache[s];
+                vec_watch ? pdec_.at(c.pc) : *pd_cache[s];
             if (!pd.legal) {
-                ++m.stats_.illegalInstructions;
-                m.raiseInternal(s, kIllegalInstBit);
-                sentinel = m.stats_.illegalInstructions +
-                           m.stats_.stackOverflows;
+                ++stats_.illegalInstructions;
+                raiseInternal(s, kIllegalInstBit);
+                sentinel = stats_.illegalInstructions +
+                           stats_.stackOverflows;
                 vec_watch = true;
-                m.pipe_[head] = PipeSlot{}; // no slot: full clear
+                pipe_[head] = PipeSlot{}; // no slot: full clear
             } else {
-                PipeSlot &slot = m.pipe_[head]; // stage 0 = IF
+                PipeSlot &slot = pipe_[head]; // stage 0 = IF
                 slot.valid = true;
                 slot.squashed = false;
                 slot.executed = false;
@@ -429,10 +427,9 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
                 slot.readsMask = pd.readsMask;
                 slot.writesMask = pd.writesMask;
                 slot.uop = pd.uop;
-                slot.tag = m.nextTag_;
-                m.nextTag_ = m.nextTag_ == 'z'
-                                 ? 'a'
-                                 : static_cast<char>(m.nextTag_ + 1);
+                slot.tag = nextTag_;
+                nextTag_ = nextTag_ == 'z' ? 'a'
+                                           : static_cast<char>(nextTag_ + 1);
                 cold_issued = !hotIssue(slot);
                 // The new slot joins the stream's in-flight masks.
                 if (flight_n[s]++ == 0) {
@@ -447,149 +444,17 @@ MachineBatch::hotChunk(Machine &m, Cycle budget, Mode mode,
             ++c.pc;
             recompute(s); // pc moved / new in-flight slot
         }
-        ++m.stats_.cycles;
+        ++stats_.cycles;
 
         if (cold_issued) {
             settle();
-            peel = BatchPeel::NonHot;
-            return m.stats_.cycles - start;
+            return HotExit::NonHot;
         }
       } // inner span (to the next superblock attempt or the chunk end)
     }
 
     settle();
-    return m.stats_.cycles - start;
-}
-
-Cycle
-MachineBatch::scalarSpan(Machine &m, Cycle budget, bool stop_when_idle,
-                         Mode mode)
-{
-    if (mode == Mode::Run)
-        return m.run(budget, stop_when_idle);
-    for (Cycle i = 0; i < budget; ++i)
-        m.step();
-    return budget;
-}
-
-Cycle
-MachineBatch::advanceLane(std::size_t i, Cycle slice, bool stop_when_idle,
-                          Mode mode)
-{
-    Machine &m = *arena_.lane(i);
-    Cycle done = 0;
-    while (done < slice) {
-        Cycle left = slice - done;
-        if (mode == Mode::Run && stop_when_idle && m.idle()) {
-            arena_.state(i) = LaneState::Done;
-            break;
-        }
-
-        // Admission: reasons that hold for the whole slice go scalar
-        // in one span; transient ones retry the hot lane after a
-        // bounded scalar stretch.
-        BatchPeel blocked = BatchPeel::NumReasons;
-        if (!m.batchEnabled_)
-            blocked = BatchPeel::Disabled;
-        else if (m.trace_ || m.observer_)
-            blocked = BatchPeel::Observed;
-        else if (m.cfg_.baselineHaltOnWait || m.haltedUntilBusDone_)
-            blocked = BatchPeel::Baseline;
-        if (blocked != BatchPeel::NumReasons) {
-            ++stats_.peels[static_cast<unsigned>(blocked)];
-            Cycle n = scalarSpan(m, left, stop_when_idle, mode);
-            stats_.scalarCycles += n;
-            done += n;
-            if (n < left)
-                arena_.state(i) = LaneState::Done; // idle break
-            break;
-        }
-        if (pipeHasColdInFlight(m.pipe_)) {
-            // An excluded op is on its way to EX: step it through on
-            // the scalar path (at most one pipe depth), then retry.
-            ++stats_.peels[static_cast<unsigned>(BatchPeel::NonHot)];
-            Cycle span = std::min<Cycle>(left, m.cfg_.pipeDepth);
-            Cycle n = scalarSpan(m, span, stop_when_idle, mode);
-            stats_.scalarCycles += n;
-            done += n;
-            if (n < span) {
-                arena_.state(i) = LaneState::Done;
-                break;
-            }
-            continue;
-        }
-
-        BatchPeel peel = BatchPeel::Done;
-        Cycle n = hotChunk(m, left, mode, peel);
-        done += n;
-        ++stats_.peels[static_cast<unsigned>(peel)];
-        if (done >= slice)
-            break;
-        switch (peel) {
-          case BatchPeel::Event: {
-            // Cross the event cycle on the scalar path (dispatch
-            // fires at the top of step()).
-            Cycle w = scalarSpan(m, 1, stop_when_idle, mode);
-            stats_.scalarCycles += w;
-            done += w;
-            if (w == 0)
-                arena_.state(i) = LaneState::Done; // idle break
-            break;
-          }
-          case BatchPeel::Stall: {
-            // Nothing can issue until an event or forever: the scalar
-            // path fast-forwards this span (or, in step mode, pays
-            // the per-cycle walk exactly like a scalar step loop).
-            Cycle w = scalarSpan(m, left - n, stop_when_idle, mode);
-            stats_.scalarCycles += w;
-            done += w;
-            if (w < left - n)
-                arena_.state(i) = LaneState::Done;
-            break;
-          }
-          case BatchPeel::NonHot:
-          default:
-            break; // loop re-checks admission / runs the next chunk
-        }
-    }
-    return done;
-}
-
-void
-MachineBatch::dispatch(Cycle budget, bool stop_when_idle, Mode mode)
-{
-    ++stats_.dispatches;
-    stats_.lanesRun += arena_.size();
-    for (std::size_t i = 0; i < arena_.size(); ++i) {
-        arena_.remaining(i) = budget;
-        arena_.advanced(i) = 0;
-        arena_.state(i) =
-            budget > 0 ? LaneState::Hot : LaneState::Done;
-    }
-
-    bool live = arena_.size() > 0 && budget > 0;
-    while (live) {
-        live = false;
-        for (std::size_t i = 0; i < arena_.size(); ++i) {
-            if (arena_.state(i) == LaneState::Done)
-                continue;
-            Cycle slice = std::min(kSyncQuantum, arena_.remaining(i));
-            Cycle n = advanceLane(i, slice, stop_when_idle, mode);
-            arena_.remaining(i) -= n;
-            arena_.advanced(i) += n;
-            if (arena_.remaining(i) == 0)
-                arena_.state(i) = LaneState::Done;
-            if (arena_.state(i) != LaneState::Done)
-                live = true;
-        }
-    }
-
-    if (mode == Mode::Run) {
-        // Machine::run() leaves every lazy clock exact at return;
-        // lanes that finished inside a hot chunk still owe the sync.
-        for (std::size_t i = 0; i < arena_.size(); ++i)
-            arena_.lane(i)->timing_.syncAll();
-    }
+    return at_end;
 }
 
 } // namespace disc

@@ -43,6 +43,42 @@
  * stream is waiting or inactive. Skipped cycles are still counted in
  * MachineStats (the paper's tables are defined over architectural
  * cycles), so both stepping modes produce bit-identical results.
+ *
+ * Hot chunks
+ * ----------
+ * Between events, run() also steps busy cycles through a lean loop
+ * (sim/hot_chunk.cc) that hoists step()'s per-cycle bookkeeping. A
+ * chunk is entered only when nothing attached wants per-cycle hooks
+ * (no PipeTrace or observer; exec traces are recorded in-chunk at EX),
+ * the machine is not in the baseline halt mode, no unexecuted cold
+ * op (hotChunkUop() false) is in flight, and the next event is at
+ * least a pipe depth away. Inside a chunk three facts hold, each
+ * pinned by a chunk-ending rule:
+ *
+ *  - No queued event fires: the chunk runs strictly below the event
+ *    horizon (TimingKernel::nextEventTime()), and only cold ops (LD/ST,
+ *    device access) can schedule new events — so the per-cycle
+ *    dispatch() probe is hoisted to one horizon computation.
+ *  - Every stream's wait state and activity are frozen: waits change
+ *    only via the ABI (LD/ST are cold, completions are events) and
+ *    activity only via CLRI/HALT/FORK/FORKR/SWI/IRR/IMR writes (all
+ *    cold — they end the chunk when issued) or raises on the issuing
+ *    stream itself, which is necessarily already active. The
+ *    per-stream ready/waitAbi/inactive tallies and busyCycles are
+ *    therefore constant per cycle and settle as one span at chunk
+ *    exit — the same licence fastForward() uses.
+ *  - Vectors appear only through traps: own-stream raises (illegal
+ *    instruction, stack overflow) are the only in-chunk sources of a
+ *    pending vector. Both bump a stats counter, so a two-counter
+ *    sentinel checked between EX and issue upgrades the trimmed
+ *    readiness mirror to the full vector-aware one exactly when
+ *    needed.
+ *
+ * Everything else — handlers, redirects, traps, vector entry, the
+ * scheduler pick, interlocks, superblock attempts — runs the real
+ * code, so traces, checkpoints, stats and run digests are bit-identical
+ * to per-cycle stepping. MachineConfig::batchExec = false or
+ * DISC_NO_BATCH=1 keeps run() off this tier.
  */
 
 #ifndef DISC_SIM_MACHINE_HH
@@ -62,6 +98,7 @@
 #include "isa/instruction.hh"
 #include "isa/predecode.hh"
 #include "isa/program.hh"
+#include "isa/uops.hh"
 #include "sim/observer.hh"
 #include "sim/pipeline_state.hh"
 #include "sim/stages.hh"
@@ -125,14 +162,54 @@ struct MachineConfig
     unsigned superblockMaxLen = 64;
 
     /**
-     * Let a MachineBatch (sim/batch.hh) drive this machine through
-     * its batched hot lane when several machines run in lockstep.
-     * Bit-identical to scalar stepping; the DISC_NO_BATCH environment
-     * variable (set non-zero) overrides this to false, forcing every
-     * batch member onto the scalar path.
+     * Let run() step busy cycles between events through hot chunks
+     * (see the file comment). Bit-identical to per-cycle stepping; the
+     * DISC_NO_BATCH environment variable (set non-zero) overrides this
+     * to false.
      */
     bool batchExec = true;
 };
+
+/** Why run() left a hot chunk. */
+enum class HotExit : std::uint8_t
+{
+    Event,  ///< a queued device/ABI event reached the horizon
+    NonHot, ///< a cold op issued (LD/ST, stream/interrupt control)
+    Stall,  ///< no stream both active and ABI-ready (fast-forward regime)
+    Budget, ///< the run() budget ran out
+    NumReasons,
+};
+
+/** Number of distinct hot-chunk exit reasons. */
+constexpr unsigned kNumHotExits = static_cast<unsigned>(HotExit::NumReasons);
+
+/** Printable exit-reason name ("event", "non-hot", ...). */
+const char *hotExitName(HotExit e);
+
+/**
+ * True when @p u may issue without ending a hot chunk. External
+ * accesses change wait states; SWI/CLRI/HALT/FORK/FORKR change stream
+ * activity — both would break the frozen-tally invariant, so they end
+ * the chunk at issue and execute on the per-cycle path. (SCHED and
+ * RETI stay hot: slot-table and running-level changes touch neither
+ * waits nor activity.)
+ */
+constexpr bool
+hotChunkUop(Uop u)
+{
+    switch (u) {
+      case Uop::LD:
+      case Uop::ST:
+      case Uop::SWI:
+      case Uop::CLRI:
+      case Uop::HALT:
+      case Uop::FORK:
+      case Uop::FORKR:
+        return false;
+      default:
+        return static_cast<unsigned>(u) < kNumUops;
+    }
+}
 
 /** Counters exposed by the machine. */
 struct MachineStats
@@ -185,6 +262,16 @@ struct MachineStats
     Cycle superblockCycles = 0;
     std::uint64_t superblockEnters = 0;
     std::array<std::uint64_t, kNumSbBails> superblockBails{};
+
+    /**
+     * Hot-chunk accounting: cycles stepped inside hot chunks (included
+     * in `cycles`; superblock spans entered from a chunk count as
+     * superblockCycles instead) and chunk exits by reason (indexed by
+     * HotExit; one exit per chunk). Stepping-mode diagnostics like the
+     * two families above, excluded from checkpoints and digests.
+     */
+    Cycle hotCycles = 0;
+    std::array<std::uint64_t, kNumHotExits> hotExits{};
 
     /** Utilisation: retired instructions per machine-busy cycle. */
     double utilization() const;
@@ -245,10 +332,10 @@ class Machine
     /** Override the superblock setting (tests, tools). */
     void setSuperblockExec(bool on) { sbEnabled_ = on; }
 
-    /** True when a batch may use the hot lane (config + environment). */
+    /** True when run() may use hot chunks (config + environment). */
     bool batchExecEnabled() const { return batchEnabled_; }
 
-    /** Override the batched-execution setting (tests, tools). */
+    /** Override the hot-chunk setting (tests, tools). */
     void setBatchExec(bool on) { batchEnabled_ = on; }
 
     /** Superblock engine (cache inspection in tests/diagnostics). */
@@ -349,7 +436,6 @@ class Machine
     friend class AbiStage;
     friend class TimingKernel;
     friend class SuperblockEngine;
-    friend class MachineBatch;
     friend struct ExecOps;
 
     MachineConfig cfg_;
@@ -427,6 +513,17 @@ class Machine
     void finishCycle(bool was_engaged);
     Cycle skippableCycles(Cycle budget) const;
     void fastForward(Cycle span);
+
+    // -- hot-chunk tier (hot_chunk.cc) --
+    /** run()'s chunk admission state across one call. */
+    struct HotPacing
+    {
+        Cycle hold = 0;    ///< no chunk attempt before this cycle
+        Cycle backoff = 0; ///< extra wait after a refused attempt
+    };
+    bool tryHotChunk(Cycle budget, HotPacing &pacing);
+    Cycle coldCyclesLeft() const;
+    HotExit hotChunk(Cycle budget);
 };
 
 } // namespace disc

@@ -197,6 +197,8 @@ Machine::restoreState(const std::vector<std::uint8_t> &bytes)
     stats_.superblockCycles = 0;
     stats_.superblockEnters = 0;
     stats_.superblockBails.fill(0);
+    stats_.hotCycles = 0;
+    stats_.hotExits.fill(0);
 
     nextTag_ = static_cast<char>(in.get<std::uint8_t>());
     haltedUntilBusDone_ = in.get<Cycle>();

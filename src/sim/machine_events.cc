@@ -1,8 +1,9 @@
 /**
  * @file
  * Event scheduling: the TimingKernel that replaces the legacy
- * per-cycle device/ABI tick phases, and the run()-level fast-forward
- * that jumps over cycles where nothing observable can happen.
+ * per-cycle device/ABI tick phases, and run(): the fast-forward that
+ * jumps over cycles where nothing observable can happen, plus the
+ * dispatch into the superblock and hot-chunk tiers.
  *
  * Lazy clocks. Devices no longer tick every cycle; instead the kernel
  * remembers, per device, how many legacy ticks have been applied
@@ -188,18 +189,24 @@ Cycle
 Machine::run(Cycle max_cycles, bool stop_when_idle)
 {
     Cycle start = stats_.cycles;
+    // Hot-chunk admission that holds for the whole call (machine.hh).
+    const bool hot_ok = batchEnabled_ && !trace_ && !observer_ &&
+                        !cfg_.baselineHaltOnWait && !haltedUntilBusDone_;
+    HotPacing pacing; // when the next chunk may start (hot_chunk.cc)
     while (stats_.cycles - start < max_cycles) {
         if (stop_when_idle && idle())
             break;
+        Cycle left = max_cycles - (stats_.cycles - start);
         if (ffEnabled_) {
-            Cycle left = max_cycles - (stats_.cycles - start);
             if (Cycle span = skippableCycles(left)) {
                 fastForward(span);
                 continue;
             }
         }
+        if (hot_ok && stats_.cycles >= pacing.hold &&
+            tryHotChunk(left, pacing))
+            continue;
         if (sbEnabled_ && stats_.cycles >= sblock_.retryAt()) {
-            Cycle left = max_cycles - (stats_.cycles - start);
             if (sblock_.execute(left))
                 continue;
         }

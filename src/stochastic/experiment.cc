@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "sim/batch.hh"
 #include "sim/machine.hh"
 
 namespace disc
@@ -126,36 +125,25 @@ runPartitioned(const StochasticConfig &cfg, const LoadSpec &spec,
 std::vector<std::unique_ptr<Machine>>
 runMachineReplicas(const MachineFactory &make, unsigned replications,
                    Cycle horizon, std::uint64_t base_seed,
-                   ThreadPool *pool, std::size_t width)
+                   ThreadPool *pool)
 {
     if (replications == 0)
         fatal("experiment needs at least one replication");
-    if (width == 0)
-        width = 1;
     if (!pool)
         pool = &ThreadPool::global();
 
     std::vector<std::unique_ptr<Machine>> machines(replications);
-    // Same grouping as runExperiment(); within a group the replicas
-    // advance as MachineBatch lanes of up to `width` in lockstep.
-    // batch.run(horizon, false) is bit-identical per machine to
-    // m.run(horizon, false), so neither grouping nor width is
-    // observable in the results.
+    // Same grouping as runExperiment(); neither grouping nor pool size
+    // is observable in the results.
     std::size_t group = replications / (2 * pool->size());
     if (group == 0)
         group = 1;
     pool->parallelForGroups(
         replications, group, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t rep = begin; rep < end; ++rep)
+            for (std::size_t rep = begin; rep < end; ++rep) {
                 machines[rep] = make(static_cast<unsigned>(rep),
                                      mixSeed(base_seed, rep));
-            MachineBatch batch(width);
-            for (std::size_t at = begin; at < end; at += width) {
-                std::size_t hi = std::min(end, at + width);
-                batch.clear();
-                for (std::size_t rep = at; rep < hi; ++rep)
-                    batch.add(machines[rep].get());
-                batch.run(horizon, false);
+                machines[rep]->run(horizon, false);
             }
         });
     return machines;

@@ -3,8 +3,8 @@
  * Replicated-run experiment driver: builds stream configurations
  * (partitioned loads, combined loads, mixes) for the stochastic
  * model, runs several seeds and aggregates PD / Ps / delta; plus the
- * cycle-accurate counterpart, which advances replica Machines in
- * lockstep batches (sim/batch.hh) per pool thread.
+ * cycle-accurate counterpart, which runs replica Machines in groups
+ * per pool thread.
  */
 
 #ifndef DISC_STOCHASTIC_EXPERIMENT_HH
@@ -83,17 +83,14 @@ using MachineFactory =
  * and return the Machines in replication order for inspection.
  *
  * Replicas are distributed over @p pool (the global pool when
- * nullptr) in contiguous groups, and each group advances through a
- * MachineBatch of up to @p width lanes in lockstep rather than one
- * Machine per task. Per-machine state is bit-identical to scalar
- * Machine::run(horizon, false) for every pool size and width (the
- * MachineBatch contract), so grouping is purely a throughput choice.
- * Seeds depend only on (base_seed, rep).
+ * nullptr) in contiguous groups; each replica advances by
+ * Machine::run(horizon, false), so per-machine state is independent
+ * of the pool size. Seeds depend only on (base_seed, rep).
  */
 std::vector<std::unique_ptr<Machine>>
 runMachineReplicas(const MachineFactory &make, unsigned replications,
                    Cycle horizon, std::uint64_t base_seed = 1,
-                   ThreadPool *pool = nullptr, std::size_t width = 16);
+                   ThreadPool *pool = nullptr);
 
 } // namespace disc
 

@@ -16,10 +16,10 @@ constexpr std::size_t kDenseSize =
     static_cast<std::size_t>(kNumOpcodes) * kNumPipeEvents *
     kActiveBuckets * kSkipBuckets;
 // Dense (op x event x active x skip) block, then one slot per
-// superblock bail reason, one per batch peel reason, and one per
+// superblock bail reason, one per hot-chunk exit reason, and one per
 // board device type.
 constexpr std::size_t kMapSize =
-    kDenseSize + kNumSbBails + kNumBatchPeels + kNumBoardDeviceTypes;
+    kDenseSize + kNumSbBails + kNumHotExits + kNumBoardDeviceTypes;
 } // namespace
 
 CoverageMap::CoverageMap() : hits_(kMapSize, 0) {}
@@ -60,14 +60,14 @@ CoverageMap::recordBail(SbBail b)
 }
 
 void
-CoverageMap::recordPeel(BatchPeel p)
+CoverageMap::recordHotExits(const MachineStats &st)
 {
-    auto i = static_cast<std::size_t>(p);
-    if (i >= kNumBatchPeels)
-        panic("peel reason %zu out of range", i);
-    std::uint32_t &h = hits_[kDenseSize + kNumSbBails + i];
-    if (h != std::numeric_limits<std::uint32_t>::max())
-        ++h;
+    for (std::size_t i = 0; i < kNumHotExits; ++i) {
+        std::uint32_t &h = hits_[kDenseSize + kNumSbBails + i];
+        if (st.hotExits[i] > 0 &&
+            h != std::numeric_limits<std::uint32_t>::max())
+            ++h;
+    }
 }
 
 void
@@ -76,7 +76,7 @@ CoverageMap::recordBoardDevice(std::size_t type)
     if (type >= kNumBoardDeviceTypes)
         panic("board device type %zu out of range", type);
     std::uint32_t &h =
-        hits_[kDenseSize + kNumSbBails + kNumBatchPeels + type];
+        hits_[kDenseSize + kNumSbBails + kNumHotExits + type];
     if (h != std::numeric_limits<std::uint32_t>::max())
         ++h;
 }

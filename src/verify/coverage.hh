@@ -17,11 +17,11 @@
  * each SbBail value the run triggered at least once is its own
  * coverage point, so the corpus keeps inputs that drive the
  * translation tier out through exits (interrupt expiry, ABI waits,
- * budget edges) earlier inputs never took. Batch peel reasons are a
- * third family of the same shape: each BatchPeel value a batched
- * replay triggered keeps inputs that push lanes out of the lockstep
- * hot lane through distinct exits (event horizon, excluded ops,
- * stalls, opt-outs). Board device types are a fourth family: each
+ * budget edges) earlier inputs never took. Hot-chunk exit reasons are
+ * a third family of the same shape: each HotExit value an
+ * observer-free replay triggered keeps inputs that leave run()'s hot
+ * chunks through distinct exits (event horizon, cold ops, stalls,
+ * budget). Board device types are a fourth family: each
  * registry device type a generated board composed at least once is
  * its own point, so the board-axis corpus keeps specs that exercise
  * peripherals earlier boards never placed on the bus.
@@ -36,7 +36,7 @@
 #include "board/registry.hh"
 #include "common/types.hh"
 #include "isa/opcodes.hh"
-#include "sim/batch.hh"
+#include "sim/machine.hh"
 #include "sim/observer.hh"
 #include "sim/superblock.hh"
 
@@ -64,8 +64,8 @@ class CoverageMap
     /** Record that the superblock tier bailed for reason @p b. */
     void recordBail(SbBail b);
 
-    /** Record that a batched lane peeled to scalar for reason @p p. */
-    void recordPeel(BatchPeel p);
+    /** Record every hot-chunk exit reason @p st counts at least once. */
+    void recordHotExits(const MachineStats &st);
 
     /**
      * Record that a generated board composed a device of registry
@@ -92,7 +92,7 @@ class CoverageMap
     // Indexed [op][event][active][skip]; one 32-bit saturating
     // counter each. The superblock bail-reason points live in a
     // kNumSbBails-long tail after the dense block, followed by a
-    // kNumBatchPeels-long tail for the batch peel reasons and a
+    // kNumHotExits-long tail for the hot-chunk exit reasons and a
     // kNumBoardDeviceTypes-long tail for board device types.
     std::vector<std::uint32_t> hits_;
 

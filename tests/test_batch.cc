@@ -1,31 +1,25 @@
 /**
  * @file
- * Batched lockstep execution equivalence. Scalar stepping is the
- * oracle: every trace line, statistic, checkpoint byte and run digest
- * a Machine produces under MachineBatch::run()/step() must be
- * bit-identical to the same machine driven by Machine::run()/step(),
- * at every batch width. Width 1 pins the degenerate case, width 3
- * leaves one lane short of the quantum rotation and (with three
- * active streams against a four-deep pipe) exercises multi-slot
- * in-flight retirement, and width 16 is the serve/experiment shape.
- * Equivalence checks assert the hot lane actually engaged so the
- * comparison is non-vacuous; opt-out tests assert the opposite.
+ * Hot-chunk equivalence. Per-cycle stepping is the oracle: every
+ * trace line, statistic, checkpoint byte and run digest a Machine
+ * produces under run() with hot chunks (MachineConfig::batchExec, the
+ * default) must be bit-identical to the same machine run with
+ * batchExec = false. Equivalence checks assert that hot chunks
+ * actually engaged so the comparison is non-vacuous; opt-out tests
+ * assert the opposite.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "arch/devices.hh"
 #include "isa/assembler.hh"
-#include "serve/session.hh"
-#include "sim/batch.hh"
-#include "sim/digest.hh"
 #include "sim/machine.hh"
 #include "sim/trace.hh"
 #include "verify/differential.hh"
@@ -40,8 +34,6 @@ namespace disc
 {
 namespace
 {
-
-constexpr unsigned kWidths[] = {1, 3, 16};
 
 std::string
 readFile(const std::string &path)
@@ -79,38 +71,46 @@ class ScopedEnv
     bool unset_ = false;
 };
 
+std::uint64_t
+hotExitsTotal(const MachineStats &st)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t e : st.hotExits)
+        n += e;
+    return n;
+}
+
 // ---- Classification ----
 
 TEST(BatchClass, ExternalAndControlOpsNeverRunHot)
 {
     // External accesses move wait states; stream/interrupt control
     // moves activity. Either would thaw the frozen chunk tallies.
-    EXPECT_FALSE(batchHotUop(Uop::LD));
-    EXPECT_FALSE(batchHotUop(Uop::ST));
-    EXPECT_FALSE(batchHotUop(Uop::SWI));
-    EXPECT_FALSE(batchHotUop(Uop::CLRI));
-    EXPECT_FALSE(batchHotUop(Uop::HALT));
-    EXPECT_FALSE(batchHotUop(Uop::FORK));
-    EXPECT_FALSE(batchHotUop(Uop::FORKR));
+    EXPECT_FALSE(hotChunkUop(Uop::LD));
+    EXPECT_FALSE(hotChunkUop(Uop::ST));
+    EXPECT_FALSE(hotChunkUop(Uop::SWI));
+    EXPECT_FALSE(hotChunkUop(Uop::CLRI));
+    EXPECT_FALSE(hotChunkUop(Uop::HALT));
+    EXPECT_FALSE(hotChunkUop(Uop::FORK));
+    EXPECT_FALSE(hotChunkUop(Uop::FORKR));
     // Slot-table and running-level changes touch neither.
-    EXPECT_TRUE(batchHotUop(Uop::SCHED));
-    EXPECT_TRUE(batchHotUop(Uop::RETI));
-    EXPECT_TRUE(batchHotUop(Uop::ADD));
+    EXPECT_TRUE(hotChunkUop(Uop::SCHED));
+    EXPECT_TRUE(hotChunkUop(Uop::RETI));
+    EXPECT_TRUE(hotChunkUop(Uop::ADD));
 }
 
 TEST(BatchClass, EveryPeelReasonHasAName)
 {
-    for (unsigned p = 0; p < kNumBatchPeels; ++p)
-        EXPECT_STRNE(batchPeelName(static_cast<BatchPeel>(p)), "?");
+    for (unsigned e = 0; e < kNumHotExits; ++e)
+        EXPECT_STRNE(hotExitName(static_cast<HotExit>(e)), "?");
 }
 
-// ---- Equivalence against scalar stepping ----
+// ---- Equivalence against per-cycle stepping ----
 
 /**
- * The equivalence tests exist to exercise the batched hot lane, so
- * the fixture neutralises every process-wide opt-out it depends on:
- * the lane attempts superblocks inside chunks and reads DISC_NO_BATCH
- * at machine construction.
+ * The equivalence tests exist to exercise hot chunks, so the fixture
+ * neutralises every process-wide opt-out they depend on: chunks
+ * attempt superblocks and read DISC_NO_BATCH at machine construction.
  */
 class BatchEquivalence : public ::testing::Test
 {
@@ -127,10 +127,10 @@ struct RunRecord
 };
 
 /**
- * Stats fields that must match between the batched and scalar paths,
- * as text. The fast-forward and superblock counter families are
- * intentionally absent: they are stepping-mode diagnostics (the hot
- * lane steps spans the scalar path would fast-forward and retries
+ * Stats fields that must match with and without hot chunks, as text.
+ * The fast-forward, superblock and hot-chunk counter families are
+ * intentionally absent: they are stepping-mode diagnostics (a chunk
+ * steps spans per-cycle run() would fast-forward and retries
  * superblocks on its own cadence), excluded from checkpoints and
  * digests for exactly this reason.
  */
@@ -163,78 +163,73 @@ statsFingerprint(const MachineStats &st)
 }
 
 void
-expectEquivalent(const RunRecord &batched, const RunRecord &scalar,
+expectEquivalent(const RunRecord &hot, const RunRecord &percycle,
                  const std::string &what)
 {
-    EXPECT_EQ(batched.trace, scalar.trace) << what;
-    EXPECT_EQ(batched.checkpoint, scalar.checkpoint) << what;
-    EXPECT_EQ(statsFingerprint(batched.stats),
-              statsFingerprint(scalar.stats))
+    EXPECT_EQ(hot.trace, percycle.trace) << what;
+    EXPECT_EQ(hot.checkpoint, percycle.checkpoint) << what;
+    EXPECT_EQ(statsFingerprint(hot.stats), statsFingerprint(percycle.stats))
         << what;
 }
 
 /**
- * Run @p width copies of a program through one MachineBatch and one
- * scalar reference machine; every lane must reproduce the reference
- * bit for bit. @p setup runs per machine (attach devices, start
- * streams) and must not leave observers attached.
+ * Build a machine with @p setup (load, attach devices, start streams;
+ * no observers), run it by @p drive with hot chunks on or off, and
+ * record the result.
  */
-template <typename Setup>
-void
-checkSample(const Program &p, unsigned width, Cycle budget, Setup setup,
-            bool expect_idle = true, BatchStats *batch_stats = nullptr)
+RunRecord
+record(bool hot, const std::function<void(Machine &)> &setup,
+       const std::function<void(Machine &)> &drive)
 {
-    RunRecord scalar;
-    {
-        Machine m;
-        m.load(p);
-        setup(m);
-        ExecTrace trace(1u << 20);
-        m.setExecTrace(&trace);
-        m.run(budget, expect_idle);
-        if (expect_idle) {
-            EXPECT_TRUE(m.idle());
-        }
-        scalar = RunRecord{trace.render(), m.saveState(), m.stats()};
-    }
-
-    std::vector<std::unique_ptr<Machine>> ms;
-    std::vector<std::unique_ptr<ExecTrace>> traces;
-    MachineBatch mb(width);
-    for (unsigned i = 0; i < width; ++i) {
-        ms.push_back(std::make_unique<Machine>());
-        ms.back()->load(p);
-        setup(*ms.back());
-        traces.push_back(std::make_unique<ExecTrace>(1u << 20));
-        ms.back()->setExecTrace(traces.back().get());
-        mb.add(ms.back().get());
-    }
-    mb.run(budget, expect_idle);
-    for (unsigned i = 0; i < width; ++i) {
-        if (expect_idle) {
-            EXPECT_TRUE(ms[i]->idle()) << "lane " << i;
-        }
-        RunRecord lane{traces[i]->render(), ms[i]->saveState(),
-                       ms[i]->stats()};
-        expectEquivalent(lane, scalar,
-                         strprintf("width %u lane %u", width, i));
-    }
-    if (batch_stats)
-        *batch_stats = mb.stats();
+    Machine m;
+    m.setBatchExec(hot);
+    setup(m);
+    ExecTrace trace(1u << 20);
+    m.setExecTrace(&trace);
+    drive(m);
+    return RunRecord{trace.render(), m.saveState(), m.stats()};
 }
 
-TEST_F(BatchEquivalence, GcdSampleAllWidths)
+/**
+ * Run @p setup's machine by @p drive with and without hot chunks;
+ * the two must agree bit for bit. Returns the hot run's record.
+ */
+RunRecord
+checkHotAgainstPerCycle(const std::function<void(Machine &)> &setup,
+                        const std::function<void(Machine &)> &drive,
+                        const std::string &what)
+{
+    RunRecord hot = record(true, setup, drive);
+    RunRecord percycle = record(false, setup, drive);
+    EXPECT_EQ(percycle.stats.hotCycles, 0u) << what;
+    EXPECT_EQ(hotExitsTotal(percycle.stats), 0u) << what;
+    expectEquivalent(hot, percycle, what);
+    return hot;
+}
+
+/** drive(): one run() call that must leave the machine idle. */
+std::function<void(Machine &)>
+runToIdle(Cycle budget)
+{
+    return [budget](Machine &m) {
+        m.run(budget);
+        EXPECT_TRUE(m.idle());
+    };
+}
+
+TEST_F(BatchEquivalence, GcdSample)
 {
     Program p = assemble(
         readFile(std::string(DISC_SOURCE_DIR) + "/examples/asm/gcd.s"));
-    for (unsigned width : kWidths) {
-        BatchStats bs;
-        checkSample(
-            p, width, 10000,
-            [&](Machine &m) { m.startStream(0, p.symbol("main")); },
-            /*expect_idle=*/true, &bs);
-        EXPECT_GT(bs.hotCycles, 0u) << "width " << width;
-    }
+    RunRecord hot = checkHotAgainstPerCycle(
+        [&](Machine &m) {
+            m.load(p);
+            m.startStream(0, p.symbol("main"));
+        },
+        runToIdle(10000), "gcd");
+    // One active stream: superblocks entered from the chunks may
+    // cover every busy cycle, so only chunk entries are certain.
+    EXPECT_GT(hotExitsTotal(hot.stats), 0u);
 }
 
 TEST_F(BatchEquivalence, RtosMailboxSample)
@@ -242,12 +237,15 @@ TEST_F(BatchEquivalence, RtosMailboxSample)
     // No "main" symbol: start at address 0 like disc-run's fallback.
     Program p = assemble(readFile(std::string(DISC_SOURCE_DIR) +
                                   "/examples/asm/rtos_mailbox.s"));
-    checkSample(
-        p, 3, 200000, [&](Machine &m) { m.startStream(0, 0); },
-        /*expect_idle=*/false);
+    checkHotAgainstPerCycle(
+        [&](Machine &m) {
+            m.load(p);
+            m.startStream(0, 0);
+        },
+        [](Machine &m) { m.run(200000, false); }, "rtos_mailbox");
 }
 
-/** The pure compute shape the batch exists for: all lanes stay hot. */
+/** The pure compute shape hot chunks exist for: every cycle runs hot. */
 TEST_F(BatchEquivalence, ComputeLoopStaysHot)
 {
     Program p = assemble(R"(
@@ -261,29 +259,34 @@ TEST_F(BatchEquivalence, ComputeLoopStaysHot)
             sub r5, r4, r1
             jmp loop
     )");
-    for (unsigned width : kWidths) {
-        BatchStats bs;
-        checkSample(
-            p, width, 50000,
-            [&](Machine &m) {
-                for (StreamId s = 0; s < kNumStreams; ++s)
-                    m.startStream(s, p.symbol("entry"));
-            },
-            /*expect_idle=*/false, &bs);
-        // Nothing in this loop leaves the regime: the budget (Done
-        // peel), not an exclusion, must end every chunk.
-        EXPECT_GT(bs.hotCycles, 0u) << "width " << width;
-        EXPECT_EQ(bs.peels[unsigned(BatchPeel::Event)], 0u);
-        EXPECT_EQ(bs.peels[unsigned(BatchPeel::Observed)], 0u);
-        EXPECT_EQ(bs.peels[unsigned(BatchPeel::Disabled)], 0u);
-    }
+    constexpr Cycle kBudget = 50000;
+    constexpr int kCalls = 3;
+    RunRecord hot = checkHotAgainstPerCycle(
+        [&](Machine &m) {
+            m.load(p);
+            for (StreamId s = 0; s < kNumStreams; ++s)
+                m.startStream(s, p.symbol("entry"));
+        },
+        [&](Machine &m) {
+            for (int i = 0; i < kCalls; ++i)
+                m.run(kBudget, false);
+        },
+        "compute loop");
+    // Nothing in this loop leaves the regime: one chunk per run()
+    // call, ended by the budget, covers every cycle.
+    const MachineStats &st = hot.stats;
+    EXPECT_EQ(st.cycles, kBudget * kCalls);
+    EXPECT_EQ(st.hotCycles, st.cycles);
+    EXPECT_EQ(st.hotExits[unsigned(HotExit::Budget)], unsigned(kCalls));
+    EXPECT_EQ(hotExitsTotal(st), unsigned(kCalls));
 }
 
 /**
- * step() semantics, three active streams against a four-deep pipe:
- * issue period 3 < depth 4, so a stream's next slot issues while its
- * previous one is still in flight — the multi-slot retirement path
- * the four-stream round-robin shape never reaches.
+ * Three active streams against a four-deep pipe: issue period 3 <
+ * depth 4, so a stream's next slot issues while its previous one is
+ * still in flight — the multi-slot retirement path the four-stream
+ * round-robin shape never reaches. The run is split into odd-sized
+ * run() calls so chunks also start with a full pipe.
  */
 TEST_F(BatchEquivalence, SteppedMultiFlightStreams)
 {
@@ -305,50 +308,24 @@ TEST_F(BatchEquivalence, SteppedMultiFlightStreams)
             add r3, r2, r2
             jmp l2
     )");
-    auto setup = [&](Machine &m) {
-        m.startStream(0, p.symbol("e0"));
-        m.startStream(1, p.symbol("e1"));
-        m.startStream(2, p.symbol("e2"));
-    };
-    constexpr Cycle kChunk = 9973; // odd: quantum-misaligned on purpose
+    constexpr Cycle kChunk = 9973; // odd on purpose
     constexpr int kChunks = 5;
-
-    RunRecord scalar;
-    {
-        Machine m;
-        m.load(p);
-        setup(m);
-        ExecTrace trace(1u << 20);
-        m.setExecTrace(&trace);
-        for (Cycle i = 0; i < kChunk * kChunks; ++i)
-            m.step();
-        scalar = RunRecord{trace.render(), m.saveState(), m.stats()};
-    }
-    for (unsigned width : kWidths) {
-        std::vector<std::unique_ptr<Machine>> ms;
-        std::vector<std::unique_ptr<ExecTrace>> traces;
-        MachineBatch mb(width);
-        for (unsigned i = 0; i < width; ++i) {
-            ms.push_back(std::make_unique<Machine>());
-            ms.back()->load(p);
-            setup(*ms.back());
-            traces.push_back(std::make_unique<ExecTrace>(1u << 20));
-            ms.back()->setExecTrace(traces.back().get());
-            mb.add(ms.back().get());
-        }
-        for (int c = 0; c < kChunks; ++c)
-            mb.step(kChunk);
-        EXPECT_GT(mb.stats().hotCycles, 0u) << "width " << width;
-        for (unsigned i = 0; i < width; ++i) {
-            RunRecord lane{traces[i]->render(), ms[i]->saveState(),
-                           ms[i]->stats()};
-            expectEquivalent(lane, scalar,
-                             strprintf("width %u lane %u", width, i));
-        }
-    }
+    RunRecord hot = checkHotAgainstPerCycle(
+        [&](Machine &m) {
+            m.load(p);
+            m.startStream(0, p.symbol("e0"));
+            m.startStream(1, p.symbol("e1"));
+            m.startStream(2, p.symbol("e2"));
+        },
+        [&](Machine &m) {
+            for (int c = 0; c < kChunks; ++c)
+                m.run(kChunk, false);
+        },
+        "three streams");
+    EXPECT_EQ(hot.stats.hotCycles, kChunk * kChunks);
 }
 
-/** External accesses leave the regime and re-enter it, per lane. */
+/** External accesses leave the regime and re-enter it. */
 TEST_F(BatchEquivalence, SlowDeviceLoadLoop)
 {
     Program p = assemble(R"(
@@ -368,52 +345,23 @@ TEST_F(BatchEquivalence, SlowDeviceLoadLoop)
             stmd r2, [0x40]
             halt
     )");
-    constexpr unsigned kWidth = 3;
-    auto record = [&](bool use_batch) {
-        std::vector<std::unique_ptr<Machine>> ms;
-        std::vector<std::unique_ptr<ExternalMemoryDevice>> devs;
-        std::vector<std::unique_ptr<ExecTrace>> traces;
-        MachineBatch mb(kWidth);
-        for (unsigned i = 0; i < kWidth; ++i) {
-            ms.push_back(std::make_unique<Machine>());
-            ms.back()->load(p);
-            devs.push_back(
-                std::make_unique<ExternalMemoryDevice>(64, 60));
+    std::vector<std::unique_ptr<ExternalMemoryDevice>> devs;
+    RunRecord hot = checkHotAgainstPerCycle(
+        [&](Machine &m) {
+            m.load(p);
+            devs.push_back(std::make_unique<ExternalMemoryDevice>(64, 60));
             devs.back()->poke(0, 5);
-            ms.back()->attachDevice(0x1000, 64, devs.back().get());
-            ms.back()->startStream(0, p.symbol("main"));
-            traces.push_back(std::make_unique<ExecTrace>(1u << 20));
-            ms.back()->setExecTrace(traces.back().get());
-        }
-        std::vector<RunRecord> out;
-        if (use_batch) {
-            for (auto &m : ms)
-                mb.add(m.get());
-            mb.run(200000);
-            // The LD/ST pair must have peeled lanes out of the hot
-            // chunk (non-hot issue) and the 60-cycle completions must
-            // have ended chunks at the event horizon.
-            EXPECT_GT(mb.stats().peels[unsigned(BatchPeel::NonHot)], 0u);
-            EXPECT_GT(mb.stats().hotCycles, 0u);
-        } else {
-            for (auto &m : ms)
-                m->run(200000);
-        }
-        for (unsigned i = 0; i < kWidth; ++i) {
-            EXPECT_TRUE(ms[i]->idle()) << "lane " << i;
-            out.push_back(RunRecord{traces[i]->render(),
-                                    ms[i]->saveState(), ms[i]->stats()});
-        }
-        return out;
-    };
-    std::vector<RunRecord> batched = record(true);
-    std::vector<RunRecord> scalar = record(false);
-    for (unsigned i = 0; i < kWidth; ++i)
-        expectEquivalent(batched[i], scalar[i],
-                         strprintf("lane %u", i));
+            m.attachDevice(0x1000, 64, devs.back().get());
+            m.startStream(0, p.symbol("main"));
+        },
+        runToIdle(200000), "slow device");
+    // The LD/ST pair must have ended chunks at issue, and the
+    // 60-cycle accesses must have stalled them until completion.
+    EXPECT_GT(hot.stats.hotExits[unsigned(HotExit::NonHot)], 0u);
+    EXPECT_GT(hot.stats.hotExits[unsigned(HotExit::Stall)], 0u);
 }
 
-/** Timer interrupts: vector delivery must be identical in batch. */
+/** Timer interrupts: vector delivery must be identical in chunks. */
 TEST_F(BatchEquivalence, TimerDrivenInterrupts)
 {
     Program p = assemble(R"(
@@ -438,133 +386,121 @@ TEST_F(BatchEquivalence, TimerDrivenInterrupts)
             clri 3
             reti
     )");
-    constexpr unsigned kWidth = 3;
-    auto record = [&](bool use_batch) {
-        std::vector<std::unique_ptr<Machine>> ms;
-        std::vector<std::unique_ptr<TimerDevice>> timers;
-        std::vector<std::unique_ptr<ExecTrace>> traces;
-        MachineBatch mb(kWidth);
-        for (unsigned i = 0; i < kWidth; ++i) {
-            ms.push_back(std::make_unique<Machine>());
-            ms.back()->load(p);
+    std::vector<std::unique_ptr<TimerDevice>> timers;
+    RunRecord hot = checkHotAgainstPerCycle(
+        [&](Machine &m) {
+            m.load(p);
             timers.push_back(std::make_unique<TimerDevice>(700, 0, 3));
-            ms.back()->attachDevice(0x2000, 4, timers.back().get());
-            ms.back()->startStream(0, p.symbol("main"));
-            traces.push_back(std::make_unique<ExecTrace>(1u << 20));
-            ms.back()->setExecTrace(traces.back().get());
-        }
-        std::vector<RunRecord> out;
-        if (use_batch) {
-            for (auto &m : ms)
-                mb.add(m.get());
-            mb.run(100000, /*stop_when_idle=*/true);
-        } else {
-            for (auto &m : ms)
-                m->run(100000, /*stop_when_idle=*/true);
-        }
-        for (unsigned i = 0; i < kWidth; ++i) {
-            EXPECT_TRUE(ms[i]->idle()) << "lane " << i;
-            EXPECT_EQ(ms[i]->internalMemory().read(0x40), 6)
-                << "lane " << i;
-            out.push_back(RunRecord{traces[i]->render(),
-                                    ms[i]->saveState(), ms[i]->stats()});
-        }
-        return out;
-    };
-    std::vector<RunRecord> batched = record(true);
-    std::vector<RunRecord> scalar = record(false);
-    for (unsigned i = 0; i < kWidth; ++i)
-        expectEquivalent(batched[i], scalar[i],
-                         strprintf("lane %u", i));
+            m.attachDevice(0x2000, 4, timers.back().get());
+            m.startStream(0, p.symbol("main"));
+        },
+        [](Machine &m) {
+            m.run(100000, /*stop_when_idle=*/true);
+            EXPECT_TRUE(m.idle());
+            EXPECT_EQ(m.internalMemory().read(0x40), 6);
+        },
+        "timer");
+    // Timer expiries are queued events: they end chunks at the horizon.
+    EXPECT_GT(hot.stats.hotExits[unsigned(HotExit::Event)], 0u);
 }
 
-/** Generated multi-stream workloads, several seeds, batched. */
+/**
+ * A trap raised at EX inside a chunk: WDEC at the window floor raises
+ * level 6 on its own stream, which must stop issuing in that very
+ * cycle (its vector waits for the pipe to drain) as it does under
+ * per-cycle stepping.
+ */
+TEST_F(BatchEquivalence, WindowTrapInsideChunk)
+{
+    Program p = assemble(R"(
+        .org 6              ; stream 0, level 6: stack window trap
+            jmp trap
+        .org 0x20
+        main:
+            ldi  r3, 0x41
+            mov  imr, r3     ; unmask levels 0 and 6
+            ldi  g0, 0
+            ldi  g1, 40      ; traps to take
+        loop:
+            addi g2, g2, 1
+            addi g3, g3, 3
+            addi g2, g2, 1
+            addi g3, g3, 3
+            addi g2, g2, 1
+            addi g3, g3, 3
+            wdec             ; underflows: AWP starts at the floor
+            addi g2, g2, 1   ; independent of the WDEC: would issue
+            addi g3, g3, 3   ; in the trap cycle if the stream did
+            addi g0, g0, 1   ; not wait for its vector
+            cmp  g0, g1
+            bne  loop
+            halt
+        trap:
+            clri 6
+            reti
+    )");
+    RunRecord hot = checkHotAgainstPerCycle(
+        [&](Machine &m) {
+            m.setSuperblockExec(false); // keep the loop on the chunks
+            m.load(p);
+            m.startStream(0, p.symbol("main"));
+        },
+        runToIdle(20000), "window trap");
+    EXPECT_GE(hot.stats.stackOverflows, 40u);
+    EXPECT_GT(hot.stats.hotCycles, 0u);
+}
+
+/** Generated multi-stream workloads, several seeds. */
 TEST_F(BatchEquivalence, GeneratedWorkloads)
 {
     for (std::uint64_t seed : {13u, 29u, 53u}) {
         GenOptions opts;
         MultiStreamProgram msp = generateMultiStream(seed, opts);
-
-        RunRecord scalar;
-        {
+        auto run = [&](bool hot) {
             MachineRig rig(msp);
+            rig.machine().setBatchExec(hot);
             ExecTrace trace(1u << 20);
             rig.machine().setExecTrace(&trace);
             rig.start();
             rig.machine().run(rig.cycleBudget());
             EXPECT_TRUE(rig.machine().idle()) << "seed " << seed;
-            scalar = RunRecord{trace.render(), rig.machine().saveState(),
-                               rig.machine().stats()};
-        }
-
-        constexpr unsigned kWidth = 3;
-        std::vector<std::unique_ptr<MachineRig>> rigs;
-        std::vector<std::unique_ptr<ExecTrace>> traces;
-        MachineBatch mb(kWidth);
-        Cycle budget = 0;
-        for (unsigned i = 0; i < kWidth; ++i) {
-            rigs.push_back(std::make_unique<MachineRig>(msp));
-            traces.push_back(std::make_unique<ExecTrace>(1u << 20));
-            rigs.back()->machine().setExecTrace(traces.back().get());
-            rigs.back()->start();
-            budget = rigs.back()->cycleBudget();
-            mb.add(&rigs.back()->machine());
-        }
-        mb.run(budget);
-        for (unsigned i = 0; i < kWidth; ++i) {
-            EXPECT_TRUE(rigs[i]->machine().idle())
-                << "seed " << seed << " lane " << i;
-            RunRecord lane{traces[i]->render(),
-                           rigs[i]->machine().saveState(),
-                           rigs[i]->machine().stats()};
-            expectEquivalent(lane, scalar,
-                             strprintf("seed %llu lane %u",
-                                       (unsigned long long)seed, i));
-        }
+            return RunRecord{trace.render(), rig.machine().saveState(),
+                             rig.machine().stats()};
+        };
+        RunRecord hot = run(true);
+        EXPECT_GT(hot.stats.hotCycles, 0u) << "seed " << seed;
+        expectEquivalent(hot, run(false),
+                         strprintf("seed %llu", (unsigned long long)seed));
     }
 }
 
 /**
- * The verification safety net holds under the batch API. Observers
- * need every cycle, so these lanes peel to the scalar path — the
- * assertion is that batching an observed machine degrades to exactly
- * scalar behaviour, not that the hot lane engages.
+ * The verification safety net holds with hot chunks enabled.
+ * Observers need every cycle, so run() never enters a chunk — the
+ * assertion is that an observed machine degrades to exactly per-cycle
+ * behaviour, not that chunks engage.
  */
 TEST_F(BatchEquivalence, ObservedLanesPeelButStayCorrect)
 {
     for (std::uint64_t seed : {7u, 19u}) {
         GenOptions opts;
         MultiStreamProgram msp = generateMultiStream(seed, opts);
-        constexpr unsigned kWidth = 3;
-        std::vector<std::unique_ptr<MachineRig>> rigs;
-        std::vector<std::unique_ptr<InvariantChecker>> checkers;
-        MachineBatch mb(kWidth);
-        Cycle budget = 0;
-        for (unsigned i = 0; i < kWidth; ++i) {
-            rigs.push_back(std::make_unique<MachineRig>(msp));
-            checkers.push_back(
-                std::make_unique<InvariantChecker>(rigs.back()->machine()));
-            rigs.back()->machine().setObserver(checkers.back().get());
-            rigs.back()->start();
-            budget = rigs.back()->cycleBudget();
-            mb.add(&rigs.back()->machine());
-        }
-        mb.run(budget);
-        EXPECT_GT(mb.stats().peels[unsigned(BatchPeel::Observed)], 0u);
-        EXPECT_EQ(mb.stats().hotCycles, 0u);
-        for (unsigned i = 0; i < kWidth; ++i) {
-            EXPECT_TRUE(rigs[i]->machine().idle())
-                << "seed " << seed << " lane " << i;
-            for (const std::string &d : compareWithReference(*rigs[i]))
-                ADD_FAILURE() << "seed " << seed << " lane " << i
-                              << ": " << d;
-            EXPECT_TRUE(checkers[i]->ok()) << checkers[i]->report();
-            rigs[i]->machine().setObserver(nullptr);
-        }
+        MachineRig rig(msp);
+        InvariantChecker checker(rig.machine());
+        rig.machine().setObserver(&checker);
+        rig.start();
+        rig.machine().run(rig.cycleBudget());
+        EXPECT_EQ(rig.machine().stats().hotCycles, 0u);
+        EXPECT_EQ(hotExitsTotal(rig.machine().stats()), 0u);
+        EXPECT_TRUE(rig.machine().idle()) << "seed " << seed;
+        for (const std::string &d : compareWithReference(rig))
+            ADD_FAILURE() << "seed " << seed << ": " << d;
+        EXPECT_TRUE(checker.ok()) << checker.report();
+        rig.machine().setObserver(nullptr);
     }
 }
 
-// ---- Checkpoints and the serve park/restore path ----
+// ---- Checkpoints ----
 
 /** Same discipline as BatchEquivalence (see above). */
 class BatchCheckpoint : public ::testing::Test
@@ -573,7 +509,7 @@ class BatchCheckpoint : public ::testing::Test
     ScopedEnv batch_{"DISC_NO_BATCH", "0"};
 };
 
-/** A multi-stream loop the hot lane is guaranteed to engage on. */
+/** A multi-stream loop hot chunks are guaranteed to engage on. */
 Program
 hotLoop(unsigned k)
 {
@@ -592,111 +528,40 @@ hotLoop(unsigned k)
 TEST_F(BatchCheckpoint, RestoredRunMatchesBatchAndScalar)
 {
     // Checkpoint at N cycles, continue M more: all four end states
-    // (straight-through and restored, batched and scalar) agree.
+    // (straight-through and restored, hot and per-cycle) agree.
     Program p = hotLoop(5);
-    auto start = [&](Machine &m) {
+    auto drive = [&](Machine &m, Cycle n) {
+        m.run(n, false);
+        if (m.batchExecEnabled()) {
+            EXPECT_GT(m.stats().hotCycles, 0u);
+        }
+    };
+    auto finish = [&](bool hot, bool via_checkpoint) {
+        Machine m;
+        m.setBatchExec(hot);
+        m.load(p);
         for (StreamId s = 0; s < kNumStreams; ++s)
             m.startStream(s, p.symbol("main"));
-    };
-    auto drive = [&](Machine &m, bool use_batch, Cycle n) {
-        if (use_batch) {
-            MachineBatch mb(1);
-            mb.add(&m);
-            mb.run(n, false);
-            EXPECT_GT(mb.stats().hotCycles, 0u);
-        } else {
-            m.run(n, false);
-        }
-    };
-    auto finish = [&](bool use_batch, bool via_checkpoint) {
-        Machine m;
-        m.load(p);
-        start(m);
         if (via_checkpoint) {
-            drive(m, use_batch, 4000);
+            drive(m, 4000);
             std::vector<std::uint8_t> snap = m.saveState();
             Machine r;
+            r.setBatchExec(hot);
             r.load(p);
             r.restoreState(snap);
-            drive(r, use_batch, 4000);
+            // Diagnostics are not architectural state.
+            EXPECT_EQ(r.stats().hotCycles, 0u);
+            EXPECT_EQ(hotExitsTotal(r.stats()), 0u);
+            drive(r, 4000);
             return r.saveState();
         }
-        drive(m, use_batch, 8000);
+        drive(m, 8000);
         return m.saveState();
     };
     std::vector<std::uint8_t> want = finish(false, false);
     EXPECT_EQ(finish(false, true), want);
     EXPECT_EQ(finish(true, false), want);
     EXPECT_EQ(finish(true, true), want);
-}
-
-TEST_F(BatchCheckpoint, ServeParkRestoreStaysBitIdentical)
-{
-    // disc-serve eviction under batched dispatch: three sessions, two
-    // resident slots, leases advanced pairwise through a MachineBatch
-    // so every round parks one session and restores another. The
-    // offline control never parks and never batches; each session's
-    // digest must reproduce it exactly.
-    namespace fs = std::filesystem;
-    std::string dir =
-        (fs::temp_directory_path() / "disc_batch_park_restore").string();
-    fs::remove_all(dir);
-    serve::SessionRegistry reg(dir, 2);
-    auto spec = [](const std::string &id, unsigned k) {
-        serve::SessionSpec s;
-        s.id = id;
-        s.tenant = 0;
-        s.source = strprintf(".org 0x20\n"
-                             "main:\n"
-                             "    ldi r1, %u\n"
-                             "loop:\n"
-                             "    add r2, r2, r1\n"
-                             "    sub r3, r2, r1\n"
-                             "    jmp loop\n",
-                             k);
-        return s;
-    };
-    reg.open(spec("a", 2));
-    reg.open(spec("b", 6));
-    reg.open(spec("c", 9));
-    MachineBatch mb(2);
-    const char *pairs[][2] = {{"a", "b"}, {"b", "c"}, {"c", "a"}};
-    for (int round = 0; round < 2; ++round) {
-        for (auto &pr : pairs) {
-            serve::SessionLease la = reg.acquire(pr[0]);
-            serve::SessionLease lb = reg.acquire(pr[1]);
-            mb.clear();
-            mb.add(&la->machine());
-            mb.add(&lb->machine());
-            mb.run(250, false);
-        }
-    }
-    EXPECT_GT(reg.evictedTotal(), 0u);
-    EXPECT_GT(reg.restoredTotal(), 0u);
-    EXPECT_GT(mb.stats().hotCycles, 0u);
-    auto offline = [&](unsigned k) {
-        serve::SessionSpec s = spec("x", k);
-        Program prog = assemble(s.source);
-        Machine m;
-        m.load(prog);
-        ExecTrace trace(serve::kSessionTraceEntries);
-        m.setExecTrace(&trace);
-        m.startStream(0, prog.symbol("main"));
-        m.run(1000, false); // 2 rounds x 2 appearances x 250 cycles
-        return runDigest(m, trace);
-    };
-    {
-        serve::SessionLease lease = reg.acquire("a");
-        EXPECT_EQ(serve::sessionDigest(*lease), offline(2));
-    }
-    {
-        serve::SessionLease lease = reg.acquire("b");
-        EXPECT_EQ(serve::sessionDigest(*lease), offline(6));
-    }
-    {
-        serve::SessionLease lease = reg.acquire("c");
-        EXPECT_EQ(serve::sessionDigest(*lease), offline(9));
-    }
 }
 
 // ---- Opt-outs ----
@@ -721,23 +586,22 @@ TEST(BatchExec, EnvironmentOverrideDisables)
 
 TEST(BatchExec, DisabledBatchRunsSequentiallyAndIdentically)
 {
-    // With the opt-out set, MachineBatch must stay a plain sequential
-    // runner: same results, hot lane never engaged.
+    // With the opt-out set, run() must never enter a hot chunk and
+    // must end where a run with chunks does.
     ScopedEnv no_batch("DISC_NO_BATCH", "1");
     Program p = hotLoop(1);
-    auto run = [&](bool use_batch) {
+    auto run = [&](bool force_hot) {
         Machine m;
+        if (force_hot)
+            m.setBatchExec(true);
         m.load(p);
         m.startStream(0, p.symbol("main"));
-        if (use_batch) {
-            MachineBatch mb(1);
-            mb.add(&m);
-            mb.run(10000, false);
-            EXPECT_EQ(mb.stats().hotCycles, 0u);
-            EXPECT_GT(mb.stats().peels[unsigned(BatchPeel::Disabled)],
-                      0u);
+        m.run(10000, false);
+        if (force_hot) {
+            EXPECT_GT(hotExitsTotal(m.stats()), 0u);
         } else {
-            m.run(10000, false);
+            EXPECT_EQ(m.stats().hotCycles, 0u);
+            EXPECT_EQ(hotExitsTotal(m.stats()), 0u);
         }
         return m.saveState();
     };

@@ -25,7 +25,6 @@
 #include "common/logging.hh"
 #include "isa/assembler.hh"
 #include "serve/session.hh"
-#include "sim/batch.hh"
 #include "sim/digest.hh"
 #include "sim/interp.hh"
 #include "sim/machine.hh"
@@ -546,34 +545,29 @@ TEST_P(ZooCrossTier, AllFourTiersBitIdentical)
     std::string spec_text = readFile(dir + zb.name + ".board");
     Program prog = assemble(readFile(dir + zb.name + ".s"));
 
-    auto runTier = [&](MachineConfig cfg, bool batch) {
+    auto runTier = [&](MachineConfig cfg) {
         Machine m(cfg);
         Board b = buildBoard(parseBoardSpec(spec_text, zb.name));
         b.attachTo(m);
         m.load(prog);
         m.startStream(0, prog.symbol("main"));
         b.startStreams(m, prog);
-        if (batch) {
-            MachineBatch mb(1);
-            mb.add(&m);
-            mb.run(zb.horizon, false);
-        } else {
-            m.run(zb.horizon, false);
-        }
+        m.run(zb.horizon, false);
         return m.saveState();
     };
 
-    MachineConfig full;  // fast-forward + superblock
-    MachineConfig nosb;
+    MachineConfig full; // fast-forward + superblock + hot chunks
+    MachineConfig nohot = full;
+    nohot.batchExec = false;
+    MachineConfig nosb = nohot;
     nosb.superblockExec = false;
-    MachineConfig percycle; // per-cycle stage-walk reference
+    MachineConfig percycle = nosb; // per-cycle stage-walk reference
     percycle.fastForward = false;
-    percycle.superblockExec = false;
 
-    std::vector<std::uint8_t> ref = runTier(percycle, false);
-    EXPECT_EQ(runTier(nosb, false), ref) << "fast-forward tier diverged";
-    EXPECT_EQ(runTier(full, false), ref) << "superblock tier diverged";
-    EXPECT_EQ(runTier(full, true), ref) << "batch tier diverged";
+    std::vector<std::uint8_t> ref = runTier(percycle);
+    EXPECT_EQ(runTier(nosb), ref) << "fast-forward tier diverged";
+    EXPECT_EQ(runTier(nohot), ref) << "superblock tier diverged";
+    EXPECT_EQ(runTier(full), ref) << "hot-chunk tier diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -165,8 +165,9 @@ TEST(FastForwardEquivalence, SlowDeviceLoadLoop)
         m.setExecTrace(&trace);
         m.run(200000);
         EXPECT_TRUE(m.idle());
-        if (fast_forward)
+        if (fast_forward) {
             EXPECT_GT(m.stats().fastForwardedCycles, 0u);
+        }
         return RunRecord{trace.render(), m.saveState(), m.stats()};
     };
     RunRecord ff = record(true);

@@ -6,9 +6,12 @@
  * client/server round trip including restart-resume.
  */
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -358,6 +361,103 @@ TEST(SessionRegistry, ConcurrentEvictRestoreStaysBitIdentical)
                   offlineDigest(i, kRounds * kChunk))
             << "session w" << i;
         EXPECT_EQ(lease->machine().stats().cycles, kRounds * kChunk);
+    }
+}
+
+TEST(BatchCheckpoint, ServeParkRestoreStaysBitIdentical)
+{
+    // disc-serve eviction with hot chunks: three sessions, two
+    // resident slots, leases held pairwise in rotating order so every
+    // round parks one session and restores another. Each pair is
+    // acquired in id order: a cyclic lease order (a then b, b then c,
+    // c then a) could deadlock three callers, whatever the registry
+    // does. The offline control never parks; each session's digest
+    // must reproduce it exactly.
+    SessionRegistry reg(freshDir("disc_serve_test_pairwise"), 2);
+    reg.open(loopSpec("a", 0, 2));
+    reg.open(loopSpec("b", 0, 6));
+    reg.open(loopSpec("c", 0, 9));
+    std::uint64_t chunks = 0;
+    bool hot_on = false;
+    auto advance = [&](Machine &m) {
+        std::uint64_t before = 0;
+        for (std::uint64_t e : m.stats().hotExits)
+            before += e;
+        m.run(250, false);
+        for (std::uint64_t e : m.stats().hotExits)
+            chunks += e;
+        chunks -= before;
+        hot_on = m.batchExecEnabled();
+    };
+    const char *pairs[][2] = {{"a", "b"}, {"b", "c"}, {"a", "c"}};
+    for (int round = 0; round < 2; ++round) {
+        for (auto &pr : pairs) {
+            SessionLease la = reg.acquire(pr[0]);
+            SessionLease lb = reg.acquire(pr[1]);
+            advance(la->machine());
+            advance(lb->machine());
+        }
+    }
+    EXPECT_GT(reg.evictedTotal(), 0u);
+    EXPECT_GT(reg.restoredTotal(), 0u);
+    if (hot_on) {
+        EXPECT_GT(chunks, 0u);
+    }
+    // 2 rounds x 2 appearances x 250 cycles each.
+    for (auto [id, k] : {std::pair{"a", 2u}, {"b", 6u}, {"c", 9u}}) {
+        SessionLease lease = reg.acquire(id);
+        EXPECT_EQ(sessionDigest(*lease), offlineDigest(k, 1000))
+            << "session " << id;
+    }
+}
+
+TEST(SessionRegistry, TwoLeaseHoldersNeverDeadlockOnEviction)
+{
+    // Each thread holds one lease while acquiring another, the pairs
+    // rotating (a/b, b/c, c/a) and each taken in id order, under a
+    // one-session residency bound. Every release of the second lease
+    // evicts while the first is held — possibly a session the other
+    // thread is about to pin before it waits for the one this thread
+    // holds. Eviction must skip a busy victim rather than wait for
+    // it. A deadlock cannot be unwound, so the watchdog aborts.
+    constexpr unsigned kIters = 300;
+    constexpr Cycle kChunk = 10;
+    SessionRegistry reg(freshDir("disc_serve_test_lease_order"), 1);
+    const char *ids[] = {"a", "b", "c"};
+    for (unsigned k = 0; k < 3; ++k)
+        reg.open(loopSpec(ids[k], 0, k));
+    std::atomic<unsigned> done{0};
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < 2; ++t) {
+        workers.emplace_back([&reg, &ids, &done, t] {
+            for (unsigned i = 0; i < kIters; ++i) {
+                unsigned x = (i + t) % 3;
+                unsigned y = (x + 1) % 3;
+                SessionLease hold = reg.acquire(ids[std::min(x, y)]);
+                SessionLease next = reg.acquire(ids[std::max(x, y)]);
+                hold->machine().run(kChunk, false);
+                next->machine().run(kChunk, false);
+            }
+            done.fetch_add(1);
+        });
+    }
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (done.load() < workers.size()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            std::fprintf(stderr, "lease holders deadlocked on eviction\n");
+            std::abort();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    for (std::thread &w : workers)
+        w.join();
+    // Every session took part in 2 of the 3 pairs of each rotation.
+    for (unsigned k = 0; k < 3; ++k) {
+        SessionLease lease = reg.acquire(ids[k]);
+        EXPECT_EQ(sessionDigest(*lease),
+                  offlineDigest(k, 2 * 2 * kIters / 3 * kChunk))
+            << "session " << ids[k];
     }
 }
 

@@ -3,13 +3,13 @@
 
 Usage: check_perf.py BASELINE.json CURRENT.json [--tolerance 0.25]
 
-Reads two BENCH_throughput.json files (schema 4; schema 1/2/3
+Reads two BENCH_throughput.json files (schema 5; schema 1-4
 baselines still work for the sections they carry) and fails with exit
 status 1 if any machine scenario's cycles_per_sec dropped by more
 than the tolerance relative to the baseline. Schema-3 files also
 carry a "dispatch" section (per execution tier: uop/superblock)
-and schema-4 files a "batch" section (lockstep MachineBatch vs
-scalar at several batch widths); those scenarios are compared the
+and schema-5 files a "hot" section (four_stream through run() with
+hot chunks vs the per-cycle walk); those scenarios are compared the
 same way when both files have them. Improvements and
 absolute cross-host differences never fail the check; the point is
 to catch a change that makes the simulator dramatically slower, not
@@ -17,8 +17,8 @@ to pin the host.
 
 --superblock-min-ratio R additionally asserts, on the CURRENT file
 alone, that the superblock tier is at least R times the uop tier on
-single_stream, and --batch-min-ratio R that batched execution at
-width 16 is at least R times the scalar path — both within-run
+single_stream, and --hot-min-ratio R that run() with hot chunks is
+at least R times the per-cycle walk on four_stream — both within-run
 ratios are host-speed-independent, so they are the absolute
 performance promises CI can hold. Standard library only, so CI can
 run it anywhere.
@@ -123,9 +123,9 @@ def main() -> int:
     ap.add_argument("--superblock-min-ratio", type=float, default=None,
                     help="fail unless current dispatch.single_stream "
                          "superblock/uop cycles_per_sec >= this ratio")
-    ap.add_argument("--batch-min-ratio", type=float, default=None,
-                    help="fail unless the current batch sweep's "
-                         "width-16 batched/scalar ratio >= this ratio")
+    ap.add_argument("--hot-min-ratio", type=float, default=None,
+                    help="fail unless the current hot.four_stream "
+                         "hot/per-cycle ratio >= this ratio")
     ap.add_argument("--min-rps", type=float, default=None,
                     help="serve files: fail unless the best sweep "
                          "sustained at least this many req/s")
@@ -144,7 +144,7 @@ def main() -> int:
 
     # Only compare schemas this script understands; a result file from
     # a newer tool is skipped rather than misread.
-    known = (1, 2, 3, 4)
+    known = (1, 2, 3, 4, 5)
     for name, data in (("baseline", base), ("current", cur)):
         schema = data.get("schema")
         if schema not in known:
@@ -200,20 +200,16 @@ def main() -> int:
                     f"{bv / 1e6:.2f}M/s (tolerance "
                     f"{args.tolerance * 100:.0f}%)")
 
-    # Schema-4 batch section: regression rule on the batched rate per
-    # width when both files carry the sweep.
-    base_widths = {int(w.get("width", 0)): w
-                   for w in base.get("batch", {}).get("widths", [])}
-    cur_widths = {int(w.get("width", 0)): w
-                  for w in cur.get("batch", {}).get("widths", [])}
-    for width, b in sorted(base_widths.items()):
-        c = cur_widths.get(width)
-        name = f"batch.width{width}"
+    # Schema-5 hot section: regression rule on the hot-chunk rate per
+    # scenario when both files carry it.
+    for scenario, b in base.get("hot", {}).items():
+        c = cur.get("hot", {}).get(scenario)
+        name = f"hot.{scenario}"
         if c is None:
             failures.append(f"{name}: missing from current results")
             continue
-        bv = float(b["batched_cycles_per_sec"])
-        cv = float(c["batched_cycles_per_sec"])
+        bv = float(b["hot_cycles_per_sec"])
+        cv = float(c["hot_cycles_per_sec"])
         ratio = cv / bv if bv > 0 else 0.0
         ok = ratio >= floor
         print(f"{name:32s} baseline {bv / 1e6:9.2f}M/s  "
@@ -226,22 +222,22 @@ def main() -> int:
                 f"{bv / 1e6:.2f}M/s (tolerance "
                 f"{args.tolerance * 100:.0f}%)")
 
-    if args.batch_min_ratio is not None:
-        c = cur_widths.get(16)
+    if args.hot_min_ratio is not None:
+        c = cur.get("hot", {}).get("four_stream")
         if c is None:
-            failures.append("batch-min-ratio: current file has no "
-                            "batch sweep point at width 16")
+            failures.append("hot-min-ratio: current file has no "
+                            "hot.four_stream point")
         else:
             ratio = float(c.get("ratio", 0.0))
-            ok = ratio >= args.batch_min_ratio
-            print(f"batch/scalar width-16 ratio {ratio:5.2f}  "
-                  f"(floor {args.batch_min_ratio:.2f})  "
+            ok = ratio >= args.hot_min_ratio
+            print(f"hot/per-cycle four_stream ratio {ratio:5.2f}  "
+                  f"(floor {args.hot_min_ratio:.2f})  "
                   f"{'ok' if ok else 'TOO LOW'}")
             if not ok:
                 failures.append(
-                    f"batched execution at width 16 is only "
-                    f"{ratio:.2f}x the scalar path (floor "
-                    f"{args.batch_min_ratio:.2f}x)")
+                    f"hot chunks on four_stream are only {ratio:.2f}x "
+                    f"the per-cycle walk (floor "
+                    f"{args.hot_min_ratio:.2f}x)")
 
     if args.superblock_min_ratio is not None:
         tiers = cur.get("dispatch", {}).get("single_stream", {})

@@ -7,9 +7,9 @@
  * workload generator; the resulting program runs on the pipelined
  * Machine under the invariant checker and is then compared, stream by
  * stream, against the sequential golden model. Cases with the batch
- * axis set additionally replay the same program through a MachineBatch
- * lane (no observer, so the lockstep hot lane can engage) and demand a
- * checkpoint bit-identical to the observed scalar run. Cases with the
+ * axis set additionally replay the same program without an observer,
+ * so run() can enter hot chunks, and demand a checkpoint bit-identical
+ * to the observed per-cycle run. Cases with the
  * board axis set (boardseed != 0) additionally compose a generated
  * board spec — a random selection of registry device types with random
  * parameters and interrupt wiring — plus a driver program that sweeps
@@ -18,7 +18,7 @@
  * that the checkpoint save/restore round-trips byte-exactly. Coverage
  * is the set of (opcode x pipeline event x active-stream-count) points
  * the run touched, plus one point per superblock bail reason, one per
- * batch peel reason, and one per board device type the case composed;
+ * hot-chunk exit reason, and one per board device type the case composed;
  * cases that reach new points join the corpus and later cases mutate
  * corpus entries instead of starting fresh.
  *
@@ -58,7 +58,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "isa/assembler.hh"
-#include "sim/batch.hh"
 #include "verify/differential.hh"
 #include "verify/invariants.hh"
 
@@ -76,7 +75,7 @@ struct FuzzCase
     bool fastForward = true;
     /** Run with the superblock translation tier (coverage axis). */
     bool useSuperblock = true;
-    /** Replay through a MachineBatch lane and diff (coverage axis). */
+    /** Replay observer-free with hot chunks and diff (coverage axis). */
     bool useBatch = false;
     /** Board axis: when nonzero, also run a generated board case. */
     std::uint64_t boardSeed = 0;
@@ -249,11 +248,11 @@ generateBoardCase(std::uint64_t board_seed, unsigned board_mask)
 }
 
 /**
- * Run a case's board axis: a plain scalar run of the generated board
- * is the baseline; a run through the case's acceleration flags (and a
- * MachineBatch lane when the batch axis is set) must end
- * checkpoint-identical, and the baseline checkpoint must survive a
- * save/restore round-trip byte-exactly.
+ * Run a case's board axis: a per-cycle run of the generated board is
+ * the baseline; a run through the case's acceleration flags (hot
+ * chunks when the batch axis is set) must end checkpoint-identical,
+ * and the baseline checkpoint must survive a save/restore round-trip
+ * byte-exactly.
  */
 RunResult
 runBoardCase(const FuzzCase &c, CoverageMap *cov)
@@ -267,19 +266,13 @@ runBoardCase(const FuzzCase &c, CoverageMap *cov)
     }
     Program prog = assemble(bc.driver);
 
-    auto runOne = [&](const MachineConfig &mc, bool batch) {
+    auto runOne = [&](const MachineConfig &mc) {
         Machine m(mc);
         Board board = buildBoard(spec);
         board.attachTo(m);
         m.load(prog);
         m.startStream(0, prog.symbol("main"));
-        if (batch) {
-            MachineBatch mb(1);
-            mb.add(&m);
-            mb.run(kBoardBudget, false);
-        } else {
-            m.run(kBoardBudget, false);
-        }
+        m.run(kBoardBudget, false);
         if (cov && mc.superblockExec) {
             const MachineStats &st = m.stats();
             for (unsigned b = 0; b < kNumSbBails; ++b)
@@ -292,12 +285,14 @@ runBoardCase(const FuzzCase &c, CoverageMap *cov)
     MachineConfig scalar;
     scalar.fastForward = false;
     scalar.superblockExec = false;
-    std::vector<std::uint8_t> base = runOne(scalar, false);
+    scalar.batchExec = false;
+    std::vector<std::uint8_t> base = runOne(scalar);
 
     MachineConfig accel;
     accel.fastForward = c.fastForward;
     accel.superblockExec = c.useSuperblock;
-    std::vector<std::uint8_t> fast = runOne(accel, c.useBatch);
+    accel.batchExec = c.useBatch;
+    std::vector<std::uint8_t> fast = runOne(accel);
 
     RunResult res;
     if (fast != base) {
@@ -358,27 +353,22 @@ runCase(const FuzzCase &c, CoverageMap *cov)
         res.detail = out.summary() + chk.report();
 
     if (c.useBatch) {
-        // Replay without an observer so the lockstep hot lane can
-        // engage; the batched machine's checkpoint must reproduce the
-        // observed scalar run's bit for bit.
+        // Replay without an observer so run() can enter hot chunks;
+        // the replay's checkpoint must reproduce the observed run's
+        // bit for bit.
         MachineRig brig(msp, cfg);
         if (c.defect)
             brig.machine().interrupts().setDefectLowPriorityVector(
                 true);
         brig.start();
-        MachineBatch mb(1);
-        mb.add(&brig.machine());
-        mb.run(g_max_cycles ? g_max_cycles : brig.cycleBudget());
-        if (cov) {
-            const BatchStats &bs = mb.stats();
-            for (unsigned p = 0; p < kNumBatchPeels; ++p)
-                if (bs.peels[p] > 0)
-                    cov->recordPeel(static_cast<BatchPeel>(p));
-        }
+        brig.machine().run(g_max_cycles ? g_max_cycles
+                                        : brig.cycleBudget());
+        if (cov)
+            cov->recordHotExits(brig.machine().stats());
         if (brig.machine().saveState() != rig.machine().saveState()) {
             res.failed = true;
             res.detail +=
-                "batched execution diverged from scalar stepping "
+                "hot-chunk execution diverged from per-cycle stepping "
                 "(checkpoint mismatch)\n";
         }
     }
@@ -451,8 +441,8 @@ shrinkCase(FuzzCase c)
         }
     }
     if (c.useBatch) {
-        // Prefer a repro that fails on the scalar path alone, without
-        // the batched replay.
+        // Prefer a repro that fails on the observed run alone, without
+        // the hot-chunk replay.
         FuzzCase t = c;
         t.useBatch = false;
         if (stillFails(t))

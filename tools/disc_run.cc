@@ -241,6 +241,19 @@ main(int argc, char **argv)
                                 st.superblockBails[b]));
             std::printf("]\n");
         }
+        std::uint64_t chunks = 0;
+        for (std::uint64_t e : st.hotExits)
+            chunks += e;
+        if (chunks > 0) {
+            std::printf("  hot chunks: cycles=%llu exits=[",
+                        static_cast<unsigned long long>(st.hotCycles));
+            for (unsigned e = 0; e < kNumHotExits; ++e)
+                std::printf("%s%s=%llu", e ? " " : "",
+                            hotExitName(static_cast<HotExit>(e)),
+                            static_cast<unsigned long long>(
+                                st.hotExits[e]));
+            std::printf("]\n");
+        }
         for (StreamId s = 0; s < kNumStreams; ++s) {
             if (st.retired[s] == 0)
                 continue;
